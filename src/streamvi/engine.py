@@ -5,16 +5,21 @@ marginal together with three per-particle statistics: the cumulative
 pair-term (h), its phi-gradient (g), and its theta-gradient (f).  New
 statistics are self-normalized importance-sampling updates over the
 previous particles, with weights proportional (within each row) to the
-backward-kernel density over the previous proposal density.
+backward-kernel density over the previous proposal density, or, with
+clipping on, to the clamped potential.
 
 Two update routes:
 
 - full weights: the exact N x N weighted sums, O(N^2) per step;
 - backward sampling: each row's weighted sum replaced by an average over
-  M categorical index draws (shared across the three statistics), with
-  the g-bracket centered by the freshly computed h statistic.  Indices
-  come either from the explicit categorical row or from accept-reject
-  proposals against an upper bound on the potential, O(N M) per step.
+  M index draws (shared across the three statistics), with the g-bracket
+  centered by the freshly computed h statistic.  Indices come either
+  from the explicit categorical rows, which needs the N x N weights, or
+  by accept-reject: uniform proposals accepted against a per-row upper
+  bound on the clamped potential, with a draw still pending after N
+  proposals drawn exactly from its row.  Accept-reject costs O(N M)
+  proposals per step when the bound is tight, and at worst N proposals
+  plus one exact row per draw.
 
 All weight arithmetic is in log space with per-row log-sum-exp
 normalization.  Rows with zero total mass raise instead of silently
@@ -23,7 +28,6 @@ falling back to uniform.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -46,7 +50,6 @@ class EngineConfig:
     log_eps_plus: float = 30.0
     truncation_window: int = 2
     compute_grads: bool = True
-    ar_proposal_cap_factor: int = 100  # accept-reject proposal budget = factor * N
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -304,13 +307,17 @@ def compute_weights(cloud_prev: ParticleCloud, kernel: KernelBatch) -> WeightMat
         log_unnorm = kernel.log_pot_cross
     else:
         log_unnorm = kernel.log_kernel_cross - cloud_prev.log_q_marginal[None, :]
+    return WeightMatrix(w=_normalize_rows(log_unnorm), log_unnorm=log_unnorm)
+
+
+def _normalize_rows(log_unnorm: np.ndarray) -> np.ndarray:
+    """Row-wise softmax; a row without finite mass raises ``DegenerateRow``."""
     row_max = np.max(log_unnorm, axis=1)
     if not np.all(np.isfinite(row_max)):
         bad = int(np.nonzero(~np.isfinite(row_max))[0][0])
         raise DegenerateRow(f"weight row {bad} has no finite mass")
     shifted = np.exp(log_unnorm - row_max[:, None])
-    w = shifted / shifted.sum(axis=1, keepdims=True)
-    return WeightMatrix(w=w, log_unnorm=log_unnorm)
+    return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 def pair_terms(model, cloud_prev: ParticleCloud, xi_new: np.ndarray, y_t: np.ndarray,
@@ -337,12 +344,6 @@ def _check_finite(cloud: ParticleCloud) -> None:
                 f"{name} statistic non-finite at particle {bad}, t={cloud.t}")
 
 
-def _kernel_scores(kernel: KernelBatch, xs_prev: np.ndarray):
-    """Closed-form kernel score pieces: means and second moments per row."""
-    mean, second = gaussian.mean_params_batch(kernel.eta1, kernel.eta2)
-    return mean, second
-
-
 def update_statistics(cloud_prev: ParticleCloud, wmat: WeightMatrix,
                       xi_new: np.ndarray, model, runner, y_t: np.ndarray, t: int,
                       kernel: KernelBatch, log_q_new: np.ndarray,
@@ -358,7 +359,7 @@ def update_statistics(cloud_prev: ParticleCloud, wmat: WeightMatrix,
     g_new = None
     if cloud_prev.g_stat is not None:
         coeff = bracket - h_new[:, None] if center_gstat else bracket
-        mean, second = _kernel_scores(kernel, cloud_prev.xi)
+        mean, second = gaussian.mean_params_batch(kernel.eta1, kernel.eta2)
         cw = w * coeff
         # contraction of the closed-form kernel scores with the weights
         u1 = cw @ cloud_prev.xi - cw.sum(axis=1)[:, None] * mean
@@ -381,54 +382,95 @@ def update_statistics(cloud_prev: ParticleCloud, wmat: WeightMatrix,
 
 
 def _categorical_rows(w: np.ndarray, m_draws: int, rng: np.random.Generator) -> np.ndarray:
-    n = w.shape[0]
-    idx = np.empty((n, m_draws), dtype=np.int64)
+    """``m_draws`` inverse-CDF draws from each row of ``w``.
+
+    All draws bisect their row's CDF together: log2(N) vectorized steps,
+    O(N M) extra memory, the same indices as a per-row ``searchsorted``.
+    """
+    n, n_prev = w.shape
     u = rng.random((n, m_draws))
-    for i in range(n):
-        cdf = np.cumsum(w[i])
-        cdf[-1] = 1.0
-        idx[i] = np.searchsorted(cdf, u[i], side="right")
-    return np.minimum(idx, w.shape[1] - 1)
+    cdf = np.cumsum(w, axis=1)
+    cdf[:, -1] = 1.0
+    # invariant: cdf[i, :lo] <= u < cdf[i, hi:]
+    lo = np.zeros((n, m_draws), dtype=np.int64)
+    hi = np.full((n, m_draws), n_prev, dtype=np.int64)
+    rows = np.arange(n)[:, None]
+    for _ in range(n_prev.bit_length()):
+        mid = (lo + hi) // 2
+        right = cdf[rows, np.minimum(mid, n_prev - 1)] <= u
+        active = lo < hi
+        lo = np.where(active & right, mid + 1, lo)
+        hi = np.where(active & ~right, mid, hi)
+    return np.minimum(lo, n_prev - 1)
+
+
+def _potential_bound(pot_eta1: np.ndarray, pot_eta2: np.ndarray, xs_prev: np.ndarray,
+                     log_eps_minus: float, log_eps_plus: float) -> np.ndarray:
+    """Per-row upper bound on the clamped log-potential over ``xs_prev``.
+
+    B_i = clip(U_i, eps-, eps+) with
+    U_i = sum_d max(eta1_id hi_d, eta1_id lo_d) + max(lambda_max(eta2_i), 0) max_j |x_j|^2,
+    where [lo, hi] is the bounding box of ``xs_prev``: the first term
+    bounds the linear part, the second the quadratic part, which is zero
+    for negative semi-definite eta2 (the amortized and conjugate
+    potentials).  O(N d + N d^3).
+    """
+    lo = xs_prev.min(axis=0)
+    hi = xs_prev.max(axis=0)
+    bound = np.maximum(pot_eta1 * hi, pot_eta1 * lo).sum(axis=1)
+    sym = 0.5 * (pot_eta2 + np.swapaxes(pot_eta2, 1, 2))
+    lam_max = np.linalg.eigvalsh(sym)[:, -1]
+    radius2 = np.max(np.einsum("jd,jd->j", xs_prev, xs_prev))
+    bound += np.maximum(lam_max, 0.0) * radius2
+    return np.clip(bound, log_eps_minus, log_eps_plus)
 
 
 def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
                         config: EngineConfig, m_draws: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """Index draws via uniform proposals accepted against the potential bound."""
+    """Index draws by accept-reject against a per-row bound, with an exact fallback.
+
+    Row i's target is its clamped potential over the previous particles,
+    the row that ``compute_weights`` normalizes.  Each round, every
+    pending draw proposes a uniform index j and accepts it with
+    probability exp(pot_ij - B_i), B_i from ``_potential_bound``.  A draw
+    still pending after N proposals, what one exact row costs, is drawn
+    from its row's categorical over the same clamped potential.  Given
+    that it reached the fallback, a draw is independent of its rejected
+    proposals, so the hybrid stays an exact sampler (Dau & Chopin, 2023).
+    Expected cost is O(N M) proposals when the bound is tight; a draw
+    that falls back costs N proposals plus one exact row.
+
+    Without clipping the raw potential equals the weight row only up to a
+    row constant, and only while the kernel marginal is the previous
+    cloud's, so that case raises ``MissingBound``.
+    """
     if not config.clip_enabled:
-        raise MissingBound("accept_reject requires clipping (or an explicit bound) "
-                           "to upper-bound the potential")
-    n_new = kernel.pot_eta1.shape[0]
+        raise MissingBound("accept_reject requires clipping: its target and its "
+                           "bound are those of the clamped potential")
+    eps_lo, eps_hi = config.log_eps_minus, config.log_eps_plus
+    xs = cloud_prev.xi
     n_prev = cloud_prev.n
-    idx = np.full((n_new, m_draws), -1, dtype=np.int64)
-    pending = np.stack(np.nonzero(idx < 0), axis=1)  # (n_new*m, 2)
-    budget = config.ar_proposal_cap_factor * n_prev
-    rounds = 0
-    while pending.shape[0] and rounds < budget:
-        rows = pending[:, 0]
-        prop = rng.integers(0, n_prev, size=pending.shape[0])
-        xj = cloud_prev.xi[prop]
+    bound = _potential_bound(kernel.pot_eta1, kernel.pot_eta2, xs, eps_lo, eps_hi)
+    idx = np.full((kernel.pot_eta1.shape[0], m_draws), -1, dtype=np.int64)
+    rows, cols = np.nonzero(idx < 0)
+    for _ in range(n_prev):
+        if not rows.size:
+            break
+        prop = rng.integers(0, n_prev, size=rows.size)
+        xj = xs[prop]
         log_pot = (np.einsum("kd,kd->k", kernel.pot_eta1[rows], xj)
                    + np.einsum("kd,kde,ke->k", xj, kernel.pot_eta2[rows], xj))
-        log_pot = np.clip(log_pot, config.log_eps_minus, config.log_eps_plus)
-        accept = np.log(rng.random(pending.shape[0])) < log_pot - config.log_eps_plus
-        if np.any(accept):
-            acc = pending[accept]
-            idx[acc[:, 0], acc[:, 1]] = prop[accept]
-            pending = pending[~accept]
-        rounds += 1
-    if pending.shape[0]:
-        # explicit categorical fallback on the unresolved rows
-        rows = np.unique(pending[:, 0])
-        sub_kernel_cross = gaussian.log_density_cross(
-            kernel.eta1[rows], kernel.eta2[rows], cloud_prev.xi)
-        log_unnorm = sub_kernel_cross - cloud_prev.log_q_marginal[None, :]
-        shifted = np.exp(log_unnorm - log_unnorm.max(axis=1, keepdims=True))
-        w = shifted / shifted.sum(axis=1, keepdims=True)
-        fallback = _categorical_rows(w, m_draws, rng)
-        for pos, row in enumerate(rows):
-            undrawn = idx[row] < 0
-            idx[row, undrawn] = fallback[pos, undrawn]
+        log_pot = np.clip(log_pot, eps_lo, eps_hi)
+        accept = np.log(rng.random(rows.size)) < log_pot - bound[rows]
+        idx[rows[accept], cols[accept]] = prop[accept]
+        rows, cols = rows[~accept], cols[~accept]
+    if rows.size:
+        fb_rows, pos = np.unique(rows, return_inverse=True)
+        log_pot = np.clip(potential_cross(kernel.pot_eta1[fb_rows],
+                                          kernel.pot_eta2[fb_rows], xs), eps_lo, eps_hi)
+        fallback = _categorical_rows(_normalize_rows(log_pot), m_draws, rng)
+        idx[rows, cols] = fallback[pos, cols]
     return idx
 
 

@@ -15,7 +15,6 @@ validated by finite differences in the test suite.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 class Node:
@@ -212,6 +211,8 @@ def cholesky(a: Node) -> Node:
     The reverse rule assumes the parent is symmetric-valued (true for
     every use here: precision matrices assembled as L L' + c I).
     """
+    from scipy.linalg import solve_triangular  # only the tape path needs scipy
+
     low = np.linalg.cholesky(a.value)
 
     def vjp(lbar):
@@ -226,6 +227,8 @@ def cholesky(a: Node) -> Node:
 
 def tri_solve(low: Node, y: Node) -> Node:
     """z = L^-1 y for lower-triangular L."""
+    from scipy.linalg import solve_triangular  # only the tape path needs scipy
+
     z = solve_triangular(low.value, y.value, lower=True)
 
     def vjp(zbar):
