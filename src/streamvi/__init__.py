@@ -4,6 +4,8 @@ The package provides, bottom up:
 
 - ``gaussian``: natural-parameter Gaussian algebra (the currency of the
   variational family);
+- ``layout`` / ``mlp``: flat parameter-vector layouts, and small dense
+  networks with hand-rolled backward passes;
 - ``models``: generative state-space models with transition/emission
   log-densities and their parameter gradients;
 - ``variational``: the amortized backward-factorized variational family;
@@ -12,10 +14,7 @@ The package provides, bottom up:
 - ``engine``: particle clouds, self-normalized importance weights, and
   the per-step ELBO/gradient estimators;
 - ``oracle``: Kalman filter/smoother references for the linear-Gaussian
-  case;
-- ``optimizer``: gradient-difference stochastic-approximation updates;
-- ``harness``: the streaming learn/evaluate experiment driver;
-- ``cli``: subcommands wrapping the harness.
+  case.
 """
 
 __version__ = "0.1.0"

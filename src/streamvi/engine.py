@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gaussian, gradients, models, variational as var
-from .errors import DegenerateRow, MissingBound, NonFiniteStatistic
+from .errors import BadBounds, DegenerateRow, MissingBound, NonFiniteStatistic
 from .gaussian import GaussianNatural
 
 
@@ -58,6 +58,9 @@ class EngineConfig:
             raise ValueError("m_backward must be >= 1")
         if self.method not in ("full", "categorical", "accept_reject"):
             raise ValueError(f"unknown method {self.method!r}")
+        if not self.log_eps_minus < self.log_eps_plus:
+            raise BadBounds(f"need log_eps_minus < log_eps_plus, got "
+                            f"({self.log_eps_minus}, {self.log_eps_plus})")
 
     @property
     def gstat_centered(self) -> bool:
@@ -91,7 +94,6 @@ class ParticleCloud:
 @dataclass
 class WeightMatrix:
     w: np.ndarray            # (N, N) rows sum to one
-    log_unnorm: np.ndarray   # (N, N)
 
 
 @dataclass
@@ -291,41 +293,47 @@ def build_kernel(runner, cloud_prev: ParticleCloud, xi_new: np.ndarray,
 def potential_cross(pot_eta1: np.ndarray, pot_eta2: np.ndarray,
                     xs_prev: np.ndarray) -> np.ndarray:
     """<eta~(xi_new_i), T(xs_prev_j)> for all pairs; shape (n_new, n_prev)."""
-    lin = pot_eta1 @ xs_prev.T
-    quad = np.einsum("jd,nde,je->nj", xs_prev, pot_eta2, xs_prev)
-    return lin + quad
+    return gaussian.inner_cross(pot_eta1, pot_eta2, xs_prev)
 
 
 def compute_weights(cloud_prev: ParticleCloud, kernel: KernelBatch) -> WeightMatrix:
     """Self-normalized importance weights, one row per new particle.
 
-    log_unnorm[i][j] = log q_{t-1|t}(xi_new_i, xi_prev_j) - log q_{t-1}(xi_prev_j);
-    when clipping is enabled the clamped potential replaces the kernel
-    ratio (they differ by a row constant when no clamp binds).
+    The unnormalized log-weight of pair (i, j) is
+    log q_{t-1|t}(xi_new_i, xi_prev_j) - log q_{t-1}(xi_prev_j); when
+    clipping is enabled the clamped potential replaces the kernel ratio
+    (they differ by a row constant when no clamp binds).  The kernel's
+    arrays are left unchanged.
     """
     if kernel.log_pot_cross is not None:
-        log_unnorm = kernel.log_pot_cross
+        log_unnorm = kernel.log_pot_cross.copy()
     else:
         log_unnorm = kernel.log_kernel_cross - cloud_prev.log_q_marginal[None, :]
-    return WeightMatrix(w=_normalize_rows(log_unnorm), log_unnorm=log_unnorm)
+    return WeightMatrix(w=_normalize_rows(log_unnorm))
 
 
 def _normalize_rows(log_unnorm: np.ndarray) -> np.ndarray:
-    """Row-wise softmax; a row without finite mass raises ``DegenerateRow``."""
+    """Row-wise softmax, in place; a row without finite mass raises ``DegenerateRow``."""
     row_max = np.max(log_unnorm, axis=1)
     if not np.all(np.isfinite(row_max)):
         bad = int(np.nonzero(~np.isfinite(row_max))[0][0])
         raise DegenerateRow(f"weight row {bad} has no finite mass")
-    shifted = np.exp(log_unnorm - row_max[:, None])
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    log_unnorm -= row_max[:, None]
+    w = np.exp(log_unnorm, out=log_unnorm)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def pair_terms(model, cloud_prev: ParticleCloud, xi_new: np.ndarray, y_t: np.ndarray,
                t: int, kernel: KernelBatch) -> np.ndarray:
-    """h~_t(xi_prev_j, xi_new_i) for all pairs, reusing the kernel densities."""
-    log_m = models.log_m_cross(model, cloud_prev.xi, xi_new, t)
-    log_g = models.log_g_batch(model, xi_new, y_t)
-    return log_m + log_g[:, None] - kernel.log_kernel_cross
+    """h~_t(xi_prev_j, xi_new_i) for all pairs, reusing the kernel densities.
+
+    Built in place on the array ``log_m_cross`` returns.
+    """
+    h_tilde = models.log_m_cross(model, cloud_prev.xi, xi_new, t)
+    h_tilde += models.log_g_batch(model, xi_new, y_t)[:, None]
+    h_tilde -= kernel.log_kernel_cross
+    return h_tilde
 
 
 # ---------------------------------------------------------------------------
@@ -347,24 +355,32 @@ def _check_finite(cloud: ParticleCloud) -> None:
 def update_statistics(cloud_prev: ParticleCloud, wmat: WeightMatrix,
                       xi_new: np.ndarray, model, runner, y_t: np.ndarray, t: int,
                       kernel: KernelBatch, log_q_new: np.ndarray,
-                      h_tilde: np.ndarray | None = None,
                       center_gstat: bool = False) -> ParticleCloud:
-    """Full O(N^2) self-normalized update of all three statistics."""
+    """Full O(N^2) self-normalized update of all three statistics.
+
+    With bracket_ij = h_prev_j + h~_ij, one product
+    (w * bracket) @ [x_j, vec(x_j x_j'), 1] gives the weighted first and
+    second moments that contract the kernel scores, and h_new as its last
+    column.  Centering the g-bracket by h_new subtracts h_new * (w @ T).
+    """
     w = wmat.w
-    if h_tilde is None:
-        h_tilde = pair_terms(model, cloud_prev, xi_new, y_t, t, kernel)
-    bracket = cloud_prev.h_stat[None, :] + h_tilde       # (N_new, N_prev)
-    h_new = np.einsum("ij,ij->i", w, bracket)
+    d = cloud_prev.xi.shape[1]
+    stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
+    cw = pair_terms(model, cloud_prev, xi_new, y_t, t, kernel)
+    cw += cloud_prev.h_stat[None, :]
+    cw *= w
+    moments = cw @ stats_prev                            # (N_new, d + d*d + 1)
+    h_new = moments[:, -1].copy()
 
     g_new = None
     if cloud_prev.g_stat is not None:
-        coeff = bracket - h_new[:, None] if center_gstat else bracket
+        if center_gstat:
+            moments -= h_new[:, None] * (w @ stats_prev)
         mean, second = gaussian.mean_params_batch(kernel.eta1, kernel.eta2)
-        cw = w * coeff
         # contraction of the closed-form kernel scores with the weights
-        u1 = cw @ cloud_prev.xi - cw.sum(axis=1)[:, None] * mean
-        u2 = (np.einsum("ij,jd,je->ide", cw, cloud_prev.xi, cloud_prev.xi)
-              - cw.sum(axis=1)[:, None, None] * second)
+        mass = moments[:, -1]
+        u1 = moments[:, :d] - mass[:, None] * mean
+        u2 = moments[:, d:-1].reshape(-1, d, d) - mass[:, None, None] * second
         g_new = w @ cloud_prev.g_stat
         g_new += runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts)
 

@@ -180,7 +180,9 @@ def inner(eta: GaussianNatural, t: SufficientStat) -> float:
 # ---------------------------------------------------------------------------
 # Batched helpers used by the particle engine.  Natural parameters are given
 # as stacked arrays eta1 (n, d) and eta2 (n, d, d); all outputs are vectorized
-# over the leading axis.
+# over the leading axis.  Pairwise quantities are one matrix product of the
+# flattened parameters [eta1, vec eta2, offset] with the flattened sufficient
+# statistics [x, vec(x x'), 1], so no (n, m, d) temporary is built.
 # ---------------------------------------------------------------------------
 
 
@@ -203,21 +205,42 @@ def log_partition_batch(eta1: np.ndarray, eta2: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(half * half, axis=-1) + 0.5 * (d * LOG_2PI - logdet_prec)
 
 
+def suff_stat_rows(xs: np.ndarray) -> np.ndarray:
+    """Flattened sufficient statistics, rows [x, vec(x x'), 1]; shape (m, d + d*d + 1).
+
+    A weighted sum ``c @ suff_stat_rows(xs)`` gives sum_j c_ij x_j,
+    sum_j c_ij x_j x_j' (row-major) and the row sums of ``c`` in one product.
+    """
+    m, d = xs.shape
+    rows = np.empty((m, d + d * d + 1))
+    rows[:, :d] = xs
+    rows[:, d:-1] = (xs[:, :, None] * xs[:, None, :]).reshape(m, d * d)
+    rows[:, -1] = 1.0
+    return rows
+
+
+def inner_cross(eta1: np.ndarray, eta2: np.ndarray, xs: np.ndarray,
+                offset: np.ndarray | float = 0.0) -> np.ndarray:
+    """<eta[i], T(xs[j])> + offset[i] for every (i, j) pair; shape (n, m).
+
+    eta1: (n, d), eta2: (n, d, d), xs: (m, d); one (n, d+d*d+1) @ (d+d*d+1, m)
+    product.
+    """
+    n, d = eta1.shape
+    coef = np.empty((n, d + d * d + 1))
+    coef[:, :d] = eta1
+    coef[:, d:-1] = eta2.reshape(n, d * d)
+    coef[:, -1] = offset
+    return coef @ suff_stat_rows(xs).T
+
+
 def log_density_cross(eta1: np.ndarray, eta2: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """log N(xs[j]; eta[i]) for every (i, j) pair; shape (n, m).
 
-    eta1: (n, d), eta2: (n, d, d), xs: (m, d).
+    eta1: (n, d), eta2: (n, d, d), xs: (m, d).  The log-partition enters as
+    the offset of ``inner_cross``.
     """
-    lin = eta1 @ xs.T                                      # (n, m)
-    quad = np.einsum("md,nde,me->nm", xs, eta2, xs)        # (n, m)
-    return lin + quad - log_partition_batch(eta1, eta2)[:, None]
-
-
-def log_density_pointwise(eta1: np.ndarray, eta2: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """log N(xs[i]; eta[i]) matched along the leading axis; shape (n,)."""
-    lin = np.sum(eta1 * xs, axis=-1)
-    quad = np.einsum("nd,nde,ne->n", xs, eta2, xs)
-    return lin + quad - log_partition_batch(eta1, eta2)
+    return inner_cross(eta1, eta2, xs, -log_partition_batch(eta1, eta2))
 
 
 def mean_params_batch(eta1: np.ndarray, eta2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

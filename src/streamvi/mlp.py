@@ -8,6 +8,10 @@ estimators need:
 - ``vjp_params_batched``: per-sample parameter gradients for a batch of
   inputs with per-sample output cotangents (each row is an independent
   gradient, nothing is summed over the batch);
+- ``vjp_params_cross``: weighted sums of per-sample gradients under
+  pairwise cotangents coeff[k, j] * (a[k] - b[j]); the vjp is linear in
+  the cotangent, so this takes out+1 per-sample passes and one matrix
+  product, with no (k, m, ...) tensor;
 - ``rows_backward``: full Jacobian rows of the output w.r.t. parameters
   and input, for chaining into recurrent backpropagation.
 
@@ -130,25 +134,23 @@ def vjp_params_batched(params: MLPParams, xs: np.ndarray | None, cots: np.ndarra
     return np.concatenate([np.concatenate([gw, gb], axis=1) for gw, gb in grads], axis=1)
 
 
-def vjp_params_cross(params: MLPParams, xs: np.ndarray, cots: np.ndarray) -> np.ndarray:
-    """Weighted sums of per-sample gradients.
+def vjp_params_cross(params: MLPParams, xs: np.ndarray, coeff: np.ndarray,
+                     a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Weighted sums of per-sample gradients under factorized cotangents.
 
-    xs (m, in), cots (k, m, out); row k of the result is
-    sum_j d<cots[k,j], f(xs[j])>/d params, shape (k, n_params).
+    xs (m, in), coeff (k, m), a (k, out), b (m, out); row k of the result is
+    sum_j coeff[k,j] d<a[k] - b[j], f(xs[j])>/d params, shape (k, n_params).
+    By linearity in the cotangent that is
+    sum_o a[k,o] (coeff @ J_o)[k] - (coeff @ V)[k], with J_o the per-sample
+    gradients of output o and V those under the cotangents b.
     """
     _, acts = forward_cached(params, xs)
-    k = cots.shape[0]
-    grads = [None] * len(params.layers)
-    delta = np.asarray(cots, dtype=np.float64)
-    for i in range(len(params.layers) - 1, -1, -1):
-        w, _ = params.layers[i]
-        gw = np.einsum("kmo,mi->koi", delta, acts[i])
-        gb = delta.sum(axis=1)
-        grads[i] = (gw.reshape(k, -1), gb)
-        if i > 0:
-            delta = np.einsum("kmo,oi->kmi", delta, w) * _act_deriv_from_out(
-                acts[i], params.activation)[None, :, :]
-    return np.concatenate([np.concatenate([gw, gb], axis=1) for gw, gb in grads], axis=1)
+    m, out = b.shape
+    per_sample = [vjp_params_batched(params, None, np.broadcast_to(e, (m, out)), acts=acts)
+                  for e in np.eye(out)]
+    per_sample.append(vjp_params_batched(params, None, b, acts=acts))
+    sums = (coeff @ np.concatenate(per_sample, axis=1)).reshape(coeff.shape[0], out + 1, -1)
+    return np.einsum("ko,kop->kp", a, sums[:, :out]) - sums[:, out]
 
 
 def rows_backward(params: MLPParams, x: np.ndarray, acts=None):

@@ -15,8 +15,11 @@ Learnable parameters per class:
 - residual nonlinear: both networks plus log-diagonal noise variances.
 
 Batched variants (``log_m_cross`` and the weighted gradient
-contractions) serve the particle engine; they are vectorized over
-particle pairs but numerically identical to the scalar ops.
+contractions) serve the particle engine.  Every sum over particle pairs
+is a matrix product of per-particle feature rows, with no (n, m, d)
+temporary; the squared transition residual is expanded as
+|a|^2 - 2 a.b + |b|^2, so these agree with the scalar ops to rounding
+that grows with |x|^2 + |mean|^2 over the noise variance, not exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import mlp
+from . import gaussian, mlp
 from .gaussian import LOG_2PI
 from .layout import ParamLayout
 
@@ -375,21 +378,40 @@ def log_init_batch(model, xs: np.ndarray) -> np.ndarray:
     return -0.5 * d * (LOG_2PI + math.log(var)) - 0.5 * np.sum(diff * diff, axis=-1) / var
 
 
-def _gauss_resid_logpdf(model, diff: np.ndarray) -> np.ndarray:
-    """Transition log-density from residuals, summing the last axis."""
+def _transition_noise(model):
+    """Transition noise variance (scalar or per coordinate) and log normalizer."""
     if isinstance(model, ResidualNonlinearSSM):
         q = model.q_diag
-        return np.sum(-0.5 * (LOG_2PI + np.log(q)) - 0.5 * diff * diff / q, axis=-1)
-    q = model.q_var
-    d = diff.shape[-1]
-    return -0.5 * d * (LOG_2PI + math.log(q)) - 0.5 * np.sum(diff * diff, axis=-1) / q
+        return q, float(np.sum(-0.5 * (LOG_2PI + np.log(q))))
+    return model.q_var, -0.5 * model.d_x * (LOG_2PI + math.log(model.q_var))
+
+
+def _gauss_resid_logpdf(model, diff: np.ndarray) -> np.ndarray:
+    """Transition log-density from residuals, summing the last axis."""
+    q, const = _transition_noise(model)
+    return const - 0.5 * np.sum(diff * diff / q, axis=-1)
 
 
 def log_m_cross(model, xs_prev: np.ndarray, xs_new: np.ndarray, t: int) -> np.ndarray:
-    """log m(xs_prev[j] -> xs_new[i]) for all pairs; shape (n_new, n_prev)."""
+    """log m(xs_prev[j] -> xs_new[i]) for all pairs; shape (n_new, n_prev).
+
+    With a = x_new / sqrt(q) and b = mean / sqrt(q), the log-density is
+    [a_i, 1, -|a_i|^2/2] . [b_j, c - |b_j|^2/2, 1], c the normalizing
+    constant: one (n_new, d+2) @ (d+2, n_prev) product.
+    """
     mean = transition_mean(model, xs_prev)                 # (n_prev, d)
-    diff = xs_new[:, None, :] - mean[None, :, :]           # (n_new, n_prev, d)
-    return _gauss_resid_logpdf(model, diff)
+    d = mean.shape[1]
+    q, const = _transition_noise(model)
+    inv_sd = 1.0 / np.sqrt(q)
+    rows_new = np.empty((xs_new.shape[0], d + 2))
+    rows_new[:, :d] = xs_new * inv_sd
+    rows_new[:, d] = 1.0
+    rows_new[:, d + 1] = -0.5 * np.einsum("id,id->i", rows_new[:, :d], rows_new[:, :d])
+    rows_prev = np.empty((mean.shape[0], d + 2))
+    rows_prev[:, :d] = mean * inv_sd
+    rows_prev[:, d] = const - 0.5 * np.einsum("jd,jd->j", rows_prev[:, :d], rows_prev[:, :d])
+    rows_prev[:, d + 1] = 1.0
+    return rows_new @ rows_prev.T
 
 
 def log_m_gathered(model, means_prev: np.ndarray, idx: np.ndarray,
@@ -437,12 +459,14 @@ def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
     out = np.zeros((n_new, lay.total))
     y = np.asarray(y, dtype=np.float64)
     valid = ~np.isnan(y)
-    row_sum = coeff.sum(axis=1)
 
     if isinstance(model, LinearGaussianSSM):
-        # transition: sum_j c_ij (x_i - F x_j) x_j' / q
-        sx = coeff @ xs_prev                                # (n_new, d)
-        sxx = np.einsum("ij,jd,je->ide", coeff, xs_prev, xs_prev)
+        # transition: sum_j c_ij (x_i - F x_j) x_j' / q, from one product
+        d = xs_prev.shape[1]
+        moments = coeff @ gaussian.suff_stat_rows(xs_prev)  # (n_new, d + d*d + 1)
+        sx = moments[:, :d]
+        sxx = moments[:, d:-1].reshape(n_new, d, d)
+        row_sum = moments[:, -1]
         gF = (np.einsum("id,ie->ide", xs_new, sx) - np.einsum("de,ief->idf", model.F, sxx))
         f_spec = lay.by_name["F"]
         out[:, f_spec.offset:f_spec.offset + f_spec.size] = (
@@ -456,28 +480,39 @@ def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
         return out
 
     if isinstance(model, ChaoticRNNModel):
+        # sum_j c_ij (x_i - mean_j) . dmean_j = x_i . (c @ dmean)_i - (c @ (mean . dmean))_i
         th = np.tanh(xs_prev)
         push = model.gamma * (th @ model.W.T)               # (n_prev, d)
         mean = xs_prev + (model.delta / model.rho) * (push - xs_prev)
-        diff = xs_new[:, None, :] - mean[None, :, :]        # (i, j, d)
         d_gamma = (model.delta / model.rho) * (th @ model.W.T)
         d_rho = -(model.delta / model.rho**2) * (push - xs_prev)
-        out[:, lay.by_name["rho"].offset] = np.einsum(
-            "ijd,jd,ij->i", diff, d_rho, coeff) / model.q_var
-        out[:, lay.by_name["gamma"].offset] = np.einsum(
-            "ijd,jd,ij->i", diff, d_gamma, coeff) / model.q_var
+        d = xs_prev.shape[1]
+        sums = coeff @ np.concatenate(
+            [d_rho, d_gamma, np.einsum("jd,jd->j", mean, d_rho)[:, None],
+             np.einsum("jd,jd->j", mean, d_gamma)[:, None]], axis=1)
+        out[:, lay.by_name["rho"].offset] = (
+            np.einsum("id,id->i", xs_new, sums[:, :d]) - sums[:, 2 * d]) / model.q_var
+        out[:, lay.by_name["gamma"].offset] = (
+            np.einsum("id,id->i", xs_new, sums[:, d:2 * d]) - sums[:, 2 * d + 1]) / model.q_var
         return out
 
     if isinstance(model, ResidualNonlinearSSM):
-        f_out = mlp.forward(model.f_net, xs_prev)
-        resid = xs_new[:, None, :] - xs_prev[None, :, :] - f_out[None, :, :]
-        cots = coeff[:, :, None] * resid / model.q_diag     # (i, j, d)
+        # the cotangent of pair (i, j) is c_ij (x_i - mean_j) / q
+        q = model.q_diag
+        mean = transition_mean(model, xs_prev)
+        d = mean.shape[1]
         f_spec = lay.by_name["f_net"]
         out[:, f_spec.offset:f_spec.offset + f_spec.size] = mlp.vjp_params_cross(
-            model.f_net, xs_prev, cots)
+            model.f_net, xs_prev, coeff, xs_new / q, mean / q)
+        # sum_j c_ij (-1/2 + (x_i - mean_j)^2 / (2 q)) from c @ [mean, mean^2, 1]
+        sums = coeff @ np.concatenate([mean, mean * mean, np.ones((mean.shape[0], 1))],
+                                      axis=1)
+        row_sum = sums[:, -1]
         q_spec = lay.by_name["log_q_diag"]
-        out[:, q_spec.offset:q_spec.offset + q_spec.size] = np.einsum(
-            "ij,ijd->id", coeff, -0.5 + 0.5 * resid * resid / model.q_diag)
+        out[:, q_spec.offset:q_spec.offset + q_spec.size] = (
+            -0.5 * row_sum[:, None]
+            + 0.5 * (xs_new * xs_new * row_sum[:, None] - 2.0 * xs_new * sums[:, :d]
+                     + sums[:, d:2 * d]) / q)
         if np.any(valid):
             g_out, g_acts = mlp.forward_cached(model.g_net, xs_new)
             resid_y = np.where(valid, y[None, :] - g_out, 0.0)

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sstats
 
 from streamvi import engine, gaussian, gradients, models, oracle, variational as var
-from streamvi.errors import DegenerateRow, MissingBound
+from streamvi.errors import BadBounds, DegenerateRow, MissingBound
 
 
 def make_lgssm(rng, d=1):
@@ -311,6 +311,12 @@ class TestBackwardSampling:
 
     def test_default_m_is_two(self):
         assert engine.EngineConfig().m_backward == 2
+
+    @pytest.mark.parametrize("lo,hi", [(5.0, 1.0), (2.0, 2.0), (float("nan"), 1.0)])
+    def test_inverted_clip_bounds_raise(self, lo, hi):
+        # np.clip with lo > hi would map every potential to hi: uniform rows
+        with pytest.raises(BadBounds):
+            engine.EngineConfig(clip_enabled=True, log_eps_minus=lo, log_eps_plus=hi)
 
     def test_sampled_update_matches_reference_stats(self):
         # with m draws forced to a single index row the update telescopes
