@@ -127,10 +127,17 @@ class AmortizedRunner:
         self.hist: list[tuple[np.ndarray, np.ndarray]] = []  # (a_before, y) per step
         self.chain_cur: gradients.MarginalChain | None = None
         self.chain_prev: gradients.MarginalChain | None = None
+        self._phi_work: np.ndarray | None = None
 
     @property
     def dim_phi(self) -> int:
         return self.layout.total
+
+    def phi_work(self, n: int) -> np.ndarray:
+        """An (n, dim_phi) work array reused across steps; no cloud holds it."""
+        if self._phi_work is None or self._phi_work.shape[0] != n:
+            self._phi_work = np.empty((n, self.dim_phi))
+        return self._phi_work
 
     def set_params(self, params: var.AmortizerParams) -> None:
         self.params = params
@@ -172,14 +179,20 @@ class AmortizedRunner:
     def potential_batch(self, xs: np.ndarray):
         return var.potential_params_batch(self.params, xs)
 
-    def kernel_phi_contract(self, u1: np.ndarray, u2: np.ndarray,
-                            pot_raw: np.ndarray, pot_acts) -> np.ndarray:
-        """Map per-row kernel cotangents (u1, u2) to per-row phi-gradients.
+    def kernel_phi_contract(self, u1: np.ndarray, u2: np.ndarray, pot_raw: np.ndarray,
+                            pot_acts, out: np.ndarray | None = None) -> np.ndarray:
+        """Add the per-row phi-gradients of kernel cotangents (u1, u2) to ``out``.
 
         The kernel's natural parameters are eta_prev + eta~(xi_i); both
-        routes receive the same cotangent.
+        receive the same cotangent.  It stays contracted in natural
+        parameters, d + d^2 numbers per row, until one product with the
+        previous chain's Jacobian widens it into ``out``; the potential
+        head's vjp goes into its own column slice.  The callers pass the
+        new cloud's g array, so no (n, dim_phi) array is returned fresh.
+        ``out`` defaults to zeros; returns ``out``.
         """
-        out = gradients.marginal_cotangent_phi(self.chain_prev, u1, u2)
+        out = gradients.marginal_cotangent_phi(self.chain_prev, u1, u2, out,
+                                               work=self.phi_work(u1.shape[0]))
         raw_cots = var.natural_cotangent_to_raw(pot_raw, u1, u2, self.params.d_x,
                                                 diag_softplus=False)
         pot_grads = var.mlp.vjp_params_batched(self.params.head_potential,
@@ -342,14 +355,21 @@ def pair_terms(model, cloud_prev: ParticleCloud, xi_new: np.ndarray, y_t: np.nda
 
 
 def _check_finite(cloud: ParticleCloud) -> None:
-    if not np.all(np.isfinite(cloud.h_stat)):
-        bad = int(np.nonzero(~np.isfinite(cloud.h_stat))[0][0])
-        raise NonFiniteStatistic(f"h statistic non-finite at particle {bad}, t={cloud.t}")
-    for name, arr in (("g", cloud.g_stat), ("f", cloud.f_stat)):
-        if arr is not None and not np.all(np.isfinite(arr)):
-            bad = int(np.nonzero(~np.isfinite(arr).all(axis=1))[0][0])
+    """Raise ``NonFiniteStatistic`` naming the first particle with a NaN or inf.
+
+    One sum per statistic; only when it is not finite are the elements
+    searched, so a finite array whose sum overflows passes.
+    """
+    for name, arr in (("h", cloud.h_stat), ("g", cloud.g_stat), ("f", cloud.f_stat)):
+        if arr is None:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(arr.sum()):
+                continue
+        bad = np.nonzero(~np.isfinite(arr))[0]
+        if bad.size:
             raise NonFiniteStatistic(
-                f"{name} statistic non-finite at particle {bad}, t={cloud.t}")
+                f"{name} statistic non-finite at particle {int(bad[0])}, t={cloud.t}")
 
 
 def update_statistics(cloud_prev: ParticleCloud, wmat: WeightMatrix,
@@ -382,7 +402,7 @@ def update_statistics(cloud_prev: ParticleCloud, wmat: WeightMatrix,
         u1 = moments[:, :d] - mass[:, None] * mean
         u2 = moments[:, d:-1].reshape(-1, d, d) - mass[:, None, None] * second
         g_new = w @ cloud_prev.g_stat
-        g_new += runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts)
+        runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts, out=g_new)
 
     f_new = None
     if cloud_prev.f_stat is not None:
@@ -499,6 +519,9 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray, m_draw
 
     The g-bracket is centered by the freshly computed h statistic (the
     built-in control variate); all three statistics share the draws.
+    The carried g and f rows are gathered draw by draw into the new
+    cloud's arrays, and the kernel cotangents, contracted over the draws
+    in natural parameters, are widened straight into the new g.
     """
     n_new = xi_new.shape[0]
     if method == "categorical":
@@ -533,12 +556,12 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray, m_draw
               - cw.sum(axis=1)[:, None] * mean)
         u2 = (np.einsum("nm,nmd,nme->nde", cw, xs_j, xs_j)
               - cw.sum(axis=1)[:, None, None] * second)
-        g_new = cloud_prev.g_stat[idx].mean(axis=1)
-        g_new += runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts)
+        g_new = _gather_mean(cloud_prev.g_stat, idx, runner.phi_work(n_new))
+        runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts, out=g_new)
 
     f_new = None
     if cloud_prev.f_stat is not None:
-        f_new = cloud_prev.f_stat[idx].mean(axis=1)
+        f_new = _gather_mean(cloud_prev.f_stat, idx)
         trans = models.grad_theta_transition_pairs(
             model, xs_j.reshape(n_new * m_draws, -1),
             np.repeat(xi_new, m_draws, axis=0))
@@ -550,6 +573,21 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray, m_draw
                           t=t, chain=getattr(runner, "chain_cur", None))
     _check_finite(cloud)
     return cloud
+
+
+def _gather_mean(stat: np.ndarray, idx: np.ndarray,
+                 work: np.ndarray | None = None) -> np.ndarray:
+    """``stat[idx].mean(axis=1)``, one gathered draw at a time into one array.
+
+    Draws after the first are gathered into ``work`` if given.  The
+    indices are in range; ``mode="clip"`` only keeps ``take`` from
+    buffering ``work``.
+    """
+    out = np.take(stat, idx[:, 0], axis=0)
+    for m in range(1, idx.shape[1]):
+        out += np.take(stat, idx[:, m], axis=0, out=work, mode="clip")
+    out *= 1.0 / idx.shape[1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +602,24 @@ def estimate(cloud: ParticleCloud, use_control_variates: bool = True) -> Estimat
     marginal scores with the h statistics (optionally centered, which
     leaves the expectation unchanged by the score identity) and adds the
     carried g statistics; the theta-gradient averages the f statistics.
+    The score term is contracted before it is widened: every particle's
+    score is T(xi_i) - E[T] pulled back through the one chain, so the
+    coefficient-weighted mean of the scores is the pullback of one
+    natural-parameter cotangent, and no (N, dim_phi) score rows are built.
     """
     elbo = float(np.mean(cloud.h_stat - cloud.log_q_marginal))
     grad_phi = None
     grad_theta = None
-    if cloud.g_stat is not None and cloud.chain is not None and cloud.chain.jac is not None:
-        scores = gradients.marginal_scores_phi(cloud.chain, cloud.xi)
+    chain = cloud.chain
+    if cloud.g_stat is not None and chain is not None and chain.nat_jac is not None:
         coeff = cloud.h_stat - cloud.h_stat.mean() if use_control_variates else cloud.h_stat
-        grad_phi = (scores * coeff[:, None] + cloud.g_stat).mean(axis=0)
+        c = coeff / cloud.n
+        mass = c.sum()
+        mean, second = gaussian.mean_params_batch(chain.eta1[None], chain.eta2[None])
+        u1 = (c @ cloud.xi)[None] - mass * mean
+        u2 = ((cloud.xi.T * c) @ cloud.xi)[None] - mass * second
+        grad_phi = cloud.g_stat.mean(axis=0)
+        gradients.marginal_cotangent_phi(chain, u1, u2, out=grad_phi[None])
     if cloud.f_stat is not None:
         grad_theta = cloud.f_stat.mean(axis=0)
     return EstimatorOutput(elbo=elbo, grad_phi=grad_phi, grad_theta=grad_theta)

@@ -40,18 +40,3 @@ class NonFiniteFunctionValue(StreamviError):
 class ModelMismatch(StreamviError):
     """An operation requires a different model class."""
 
-
-class MissingColumn(StreamviError):
-    """A requested CSV column is absent from the header."""
-
-
-class EmptyStream(StreamviError):
-    """An observation stream contains no rows."""
-
-
-class MissingTruth(StreamviError):
-    """Evaluation metrics require ground-truth states that were not provided."""
-
-
-class ConfigError(StreamviError):
-    """An experiment configuration is invalid."""

@@ -5,10 +5,17 @@ Two routes to the same numbers:
 - a tape-backed reference path (``grad_phi_log_marginal``,
   ``grad_phi_log_backward``) that differentiates one log-density at a
   time through the truncated amortizer chain; and
-- a batched fast path (``marginal_chain`` + ``marginal_scores_phi``)
+- a batched fast path (``marginal_chain`` + ``marginal_cotangent_phi``)
   that exploits the natural-parameter bottleneck: scores w.r.t. natural
   parameters are closed form, and only the Jacobian of the raw head
-  outputs w.r.t. the weights is backpropagated, once per step.
+  outputs w.r.t. the weights is backpropagated, once per step.  The
+  chain also folds the natural-to-raw pullback into that Jacobian,
+  giving the Jacobian of [eta1, vec eta2].  A cotangent is contracted in
+  natural-parameter space first (d + d^2 numbers per row, or a single
+  row for a weighted sum of scores) and widened to dim_phi by one
+  product, straight into the caller's array.  ``marginal_scores_phi``
+  expands every score row; it is kept as the reference that the tests
+  check the contracted forms against.
 
 Truncated backpropagation re-executes the last ``truncation_window``
 recurrent updates from a boundary state treated as a constant; with a
@@ -228,12 +235,17 @@ class MarginalChain:
     raw: np.ndarray
     eta1: np.ndarray
     eta2: np.ndarray
-    jac: np.ndarray | None   # (raw_dim, dim_phi), None when gradients are off
+    jac: np.ndarray | None       # (raw_dim, dim_phi), None when gradients are off
+    nat_jac: np.ndarray | None   # (d + d*d, dim_phi), the same for [eta1, vec eta2]
 
 
 def marginal_chain(params: var.AmortizerParams, a_boundary: np.ndarray, ys: list,
                    want_jacobian: bool = True) -> MarginalChain:
-    """Forward the window and (optionally) backpropagate all raw-output rows."""
+    """Forward the window and (optionally) backpropagate all raw-output rows.
+
+    The chain does not reach the potential head, so the Jacobians'
+    potential-head columns are zero.
+    """
     a_boundary = np.asarray(a_boundary, dtype=np.float64)
     a_vals = [a_boundary]
     for y in ys:
@@ -242,6 +254,7 @@ def marginal_chain(params: var.AmortizerParams, a_boundary: np.ndarray, ys: list
     raw, acts = mlp.forward_cached(params.head_marginal, a_t)
     eta1, eta2 = var.raw_to_natural(raw, params.d_x, var.MARGINAL_EPS)
     jac = None
+    nat_jac = None
     if want_jacobian:
         p = raw.shape[0]
         j_head, delta = mlp.rows_backward(params.head_marginal, a_t, acts=acts)
@@ -259,8 +272,21 @@ def marginal_chain(params: var.AmortizerParams, a_boundary: np.ndarray, ys: list
             g_w.reshape(p, -1), g_u.reshape(p, -1), g_b, j_head,
             np.zeros((p, params.head_potential.n_params)),
         ], axis=1)
+        nat_jac = _natural_pullback(raw, params.d_x) @ jac
     return MarginalChain(a_boundary=a_boundary, ys=list(ys), a_t=a_t, raw=raw,
-                         eta1=eta1, eta2=eta2, jac=jac)
+                         eta1=eta1, eta2=eta2, jac=jac, nat_jac=nat_jac)
+
+
+def _natural_pullback(raw: np.ndarray, d: int) -> np.ndarray:
+    """(d + d*d, raw_dim) matrix P with [c1, vec c2] @ P the raw cotangent.
+
+    ``natural_cotangent_to_raw`` is linear in the cotangent at fixed raw,
+    so its rows are the pullbacks of the unit cotangents.
+    """
+    basis = np.eye(d + d * d)
+    raws = np.broadcast_to(raw, (basis.shape[0], raw.shape[0]))
+    return var.natural_cotangent_to_raw(raws, basis[:, :d],
+                                        basis[:, d:].reshape(-1, d, d), d)
 
 
 def natural_scores(eta1: np.ndarray, eta2: np.ndarray, xs: np.ndarray):
@@ -282,16 +308,21 @@ def marginal_scores_phi(chain: MarginalChain, xs: np.ndarray) -> np.ndarray:
     return raw_cots @ chain.jac
 
 
-def marginal_cotangent_phi(chain: MarginalChain, u1: np.ndarray,
-                           u2: np.ndarray) -> np.ndarray:
-    """Push per-row natural-parameter cotangents through the chain Jacobian.
+def marginal_cotangent_phi(chain: MarginalChain, u1: np.ndarray, u2: np.ndarray,
+                           out: np.ndarray | None = None,
+                           work: np.ndarray | None = None) -> np.ndarray:
+    """Add per-row natural-parameter cotangents, pushed through the chain, to ``out``.
 
     u1 (n, d) and u2 (n, d, d) are gradients w.r.t. the chain's natural
-    parameters; returns (n, dim_phi).
+    parameters; one product [u1, vec u2] @ nat_jac widens them to phi.
+    ``out`` (n, dim_phi) defaults to zeros; ``work``, if given, is an
+    (n, dim_phi) array the product is written to first.  Returns ``out``.
     """
-    if chain.jac is None:
+    if chain.nat_jac is None:
         raise ValueError("chain was built without a Jacobian")
-    d = chain.eta1.shape[0]
-    raws = np.broadcast_to(chain.raw, (u1.shape[0], chain.raw.shape[0]))
-    raw_cots = var.natural_cotangent_to_raw(raws, u1, u2, d)
-    return raw_cots @ chain.jac
+    n = u1.shape[0]
+    if out is None:
+        out = np.zeros((n, chain.nat_jac.shape[1]))
+    cot = np.concatenate([u1, u2.reshape(n, -1)], axis=1)
+    out += np.matmul(cot, chain.nat_jac, out=work)
+    return out

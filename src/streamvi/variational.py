@@ -80,10 +80,6 @@ def init_amortizer(rng: np.random.Generator, d_x: int, d_y: int, hidden: int = 3
                            head_potential=head_p, d_x=d_x)
 
 
-def initial_state(params: AmortizerParams) -> AmortizerState:
-    return AmortizerState(a=np.zeros(params.hidden))
-
-
 def var_layout(params: AmortizerParams) -> ParamLayout:
     return ParamLayout.build([
         ("amortizer.W", params.W.shape),
