@@ -24,6 +24,14 @@ Two update routes:
 All weight arithmetic is in log space with per-row log-sum-exp
 normalization.  Rows with zero total mass raise instead of silently
 falling back to uniform.
+
+On the full route every N x N quantity is one BLAS product of
+per-particle feature rows.  The kernel cross (the kernel log-densities,
+or with clipping the clamped potentials, never both) gives the weights
+and is dropped; the pair bracket h_prev_j + log m(x_j -> x_i) + log g(x_i)
+- log k_i(x_j) is one more product, dropped once the moments are taken.
+So at most two N x N arrays, the weights and one of these, are live at
+once.
 """
 
 from __future__ import annotations
@@ -34,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gaussian, gradients, models, variational as var
-from .errors import BadBounds, DegenerateRow, MissingBound, NonFiniteStatistic
+from .errors import (BadBounds, ConflictingSetting, DegenerateRow, MissingBound,
+                     NonFiniteStatistic)
 from .gaussian import GaussianNatural
 
 
@@ -276,8 +285,8 @@ class KernelBatch:
 
     eta1: np.ndarray          # (N, d) eta_prev + eta~(xi_new_i)
     eta2: np.ndarray          # (N, d, d)
-    log_kernel_cross: np.ndarray | None   # (N_new, N_prev) kernel log-densities
-    log_pot_cross: np.ndarray | None      # (N_new, N_prev) potentials (clip applied)
+    log_kernel_cross: np.ndarray | None   # (N_new, N_prev) kernel log-densities, unclipped
+    log_pot_cross: np.ndarray | None      # (N_new, N_prev) clamped potentials, clipped
     pot_eta1: np.ndarray
     pot_eta2: np.ndarray
     pot_raw: np.ndarray | None
@@ -286,18 +295,25 @@ class KernelBatch:
 
 def build_kernel(runner, cloud_prev: ParticleCloud, xi_new: np.ndarray,
                  config: EngineConfig, need_cross: bool = True) -> KernelBatch:
+    """Kernel parameters per new particle and, if ``need_cross``, one N x N cross.
+
+    The kernel of new particle i is eta_prev + eta~(xi_new_i).  The cross
+    is what the weights read: the clamped potentials when clipping is on,
+    the kernel log-densities otherwise.  The pair bracket reads neither,
+    so only one is built.
+    """
     pot_eta1, pot_eta2, pot_raw, pot_acts = runner.potential_batch(xi_new)
     eta_prev = runner.kernel_marginal()
     k_eta1 = eta_prev.eta1[None, :] + pot_eta1
     k_eta2 = eta_prev.eta2[None, :, :] + pot_eta2
     log_kernel_cross = None
     log_pot_cross = None
-    if need_cross:
+    if need_cross and config.clip_enabled:
+        log_pot_cross = potential_cross(pot_eta1, pot_eta2, cloud_prev.xi)
+        np.clip(log_pot_cross, config.log_eps_minus, config.log_eps_plus,
+                out=log_pot_cross)
+    elif need_cross:
         log_kernel_cross = gaussian.log_density_cross(k_eta1, k_eta2, cloud_prev.xi)
-        if config.clip_enabled:
-            log_pot_cross = potential_cross(pot_eta1, pot_eta2, cloud_prev.xi)
-            log_pot_cross = np.clip(log_pot_cross, config.log_eps_minus,
-                                    config.log_eps_plus)
     return KernelBatch(eta1=k_eta1, eta2=k_eta2, log_kernel_cross=log_kernel_cross,
                        log_pot_cross=log_pot_cross, pot_eta1=pot_eta1,
                        pot_eta2=pot_eta2, pot_raw=pot_raw, pot_acts=pot_acts)
@@ -339,14 +355,25 @@ def _normalize_rows(log_unnorm: np.ndarray) -> np.ndarray:
 
 def pair_terms(model, cloud_prev: ParticleCloud, xi_new: np.ndarray, y_t: np.ndarray,
                t: int, kernel: KernelBatch) -> np.ndarray:
-    """h~_t(xi_prev_j, xi_new_i) for all pairs, reusing the kernel densities.
+    """The pair bracket h_prev_j + h~_t(xi_prev_j, xi_new_i); shape (N_new, N_prev).
 
-    Built in place on the array ``log_m_cross`` returns.
+    b_ij = h_prev_j + log m(x_j -> x_i) + log g(x_i) - log k_i(x_j), with
+    log k_i(x) = <eta1_i, x> + x' eta2_i x - A_i, is one product of
+    feature rows: [transition rows of x_new, with A_i + log g_i in their
+    constant column | -eta1_i, -vec eta2_i] against [transition rows of
+    x_prev, with h_prev_j in theirs | x_j, vec(x_j x_j')].  K = 2d+2+d^2
+    columns; the kernel cross is not read.
     """
-    h_tilde = models.log_m_cross(model, cloud_prev.xi, xi_new, t)
-    h_tilde += models.log_g_batch(model, xi_new, y_t)[:, None]
-    h_tilde -= kernel.log_kernel_cross
-    return h_tilde
+    n_new, d = xi_new.shape
+    offset_new = (gaussian.log_partition_batch(kernel.eta1, kernel.eta2)
+                  + models.log_g_batch(model, xi_new, y_t))
+    rows_new, rows_prev = models.transition_rows(model, cloud_prev.xi, xi_new,
+                                                 offset_new, cloud_prev.h_stat)
+    left = np.concatenate([rows_new, -kernel.eta1, -kernel.eta2.reshape(n_new, d * d)],
+                          axis=1)
+    right = np.concatenate([rows_prev, gaussian.suff_stat_rows(cloud_prev.xi)[:, :-1]],
+                           axis=1)
+    return left @ right.T
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +405,22 @@ def update_statistics(cloud_prev: ParticleCloud, wmat: WeightMatrix,
                       center_gstat: bool = False) -> ParticleCloud:
     """Full O(N^2) self-normalized update of all three statistics.
 
-    With bracket_ij = h_prev_j + h~_ij, one product
-    (w * bracket) @ [x_j, vec(x_j x_j'), 1] gives the weighted first and
-    second moments that contract the kernel scores, and h_new as its last
-    column.  Centering the g-bracket by h_new subtracts h_new * (w @ T).
+    With the bracket from ``pair_terms`` (one product, h_prev included),
+    one product (w * bracket) @ [x_j, vec(x_j x_j'), 1] gives the weighted
+    first and second moments that contract the kernel scores, and h_new
+    as its last column; the bracket is then dropped, so the weights and
+    the bracket are the only N x N arrays.  Centering the g-bracket by
+    h_new subtracts h_new * (w @ T).  The carried f enters the model's own
+    product with w (``grad_theta_pair_contract(..., carried=)``); the
+    carried g is one product w @ g_prev.
     """
     w = wmat.w
     d = cloud_prev.xi.shape[1]
     stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
     cw = pair_terms(model, cloud_prev, xi_new, y_t, t, kernel)
-    cw += cloud_prev.h_stat[None, :]
     cw *= w
     moments = cw @ stats_prev                            # (N_new, d + d*d + 1)
+    del cw
     h_new = moments[:, -1].copy()
 
     g_new = None
@@ -406,9 +437,8 @@ def update_statistics(cloud_prev: ParticleCloud, wmat: WeightMatrix,
 
     f_new = None
     if cloud_prev.f_stat is not None:
-        f_new = w @ cloud_prev.f_stat
-        f_new += models.grad_theta_pair_contract(model, cloud_prev.xi, xi_new,
-                                                 y_t, t, w)
+        f_new = models.grad_theta_pair_contract(model, cloud_prev.xi, xi_new, y_t, t, w,
+                                                carried=cloud_prev.f_stat)
 
     cloud = ParticleCloud(xi=xi_new, h_stat=h_new, g_stat=g_new, f_stat=f_new,
                           log_q_marginal=log_q_new, eta=runner.current_eta(),
@@ -636,6 +666,17 @@ class EngineState:
 
 def init_state(model, runner, y0: np.ndarray, config: EngineConfig,
                rng: np.random.Generator) -> EngineState:
+    """The time-zero state.
+
+    The engine reads the truncation window from the runner, so a runner
+    whose ``window`` differs from ``config.truncation_window`` raises
+    ``ConflictingSetting`` rather than ignoring the config.
+    """
+    window = getattr(runner, "window", None)
+    if window is not None and window != config.truncation_window:
+        raise ConflictingSetting(
+            f"runner window {window} != EngineConfig.truncation_window "
+            f"{config.truncation_window}")
     dim_theta = models.theta_layout(model).total if config.compute_grads else None
     cloud = init_cloud(model, runner, y0, config.n_particles, rng,
                        dim_theta=dim_theta)
@@ -657,6 +698,8 @@ def step(state: EngineState, y_t: np.ndarray, model, config: EngineConfig,
     wmat = None
     if config.method == "full":
         wmat = compute_weights(state.cloud, kernel)
+        # the weights are all the update reads of the cross
+        kernel.log_kernel_cross = kernel.log_pot_cross = None
         cloud_new = update_statistics(state.cloud, wmat, xi_new, model, runner,
                                       y_t, t_new, kernel, log_q_new,
                                       center_gstat=config.gstat_centered)

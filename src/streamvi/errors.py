@@ -40,3 +40,7 @@ class NonFiniteFunctionValue(StreamviError):
 class ModelMismatch(StreamviError):
     """An operation requires a different model class."""
 
+
+
+class ConflictingSetting(StreamviError):
+    """Two places that set one knob hold different values."""

@@ -14,12 +14,16 @@ Learnable parameters per class:
   fixed;
 - residual nonlinear: both networks plus log-diagonal noise variances.
 
-Batched variants (``log_m_cross`` and the weighted gradient
-contractions) serve the particle engine.  Every sum over particle pairs
-is a matrix product of per-particle feature rows, with no (n, m, d)
-temporary; the squared transition residual is expanded as
-|a|^2 - 2 a.b + |b|^2, so these agree with the scalar ops to rounding
-that grows with |x|^2 + |mean|^2 over the noise variance, not exactly.
+Batched variants serve the particle engine.  Every sum over particle
+pairs is a matrix product of per-particle feature rows, with no (n, m, d)
+temporary.  ``transition_rows`` gives the rows whose inner products are
+the transition log-densities, the squared residual expanded as
+|a|^2 - 2 a.b + |b|^2; ``log_m_cross`` multiplies them, and the engine
+extends them by the kernel's rows so that its whole pair bracket is one
+product.  So these agree with the scalar ops to rounding that grows with
+|x|^2 + |mean|^2 over the noise variance, not exactly.
+``grad_theta_pair_contract`` reads the weights once, in one product that
+also carries the previous theta-statistic.
 """
 
 from __future__ import annotations
@@ -392,12 +396,16 @@ def _gauss_resid_logpdf(model, diff: np.ndarray) -> np.ndarray:
     return const - 0.5 * np.sum(diff * diff / q, axis=-1)
 
 
-def log_m_cross(model, xs_prev: np.ndarray, xs_new: np.ndarray, t: int) -> np.ndarray:
-    """log m(xs_prev[j] -> xs_new[i]) for all pairs; shape (n_new, n_prev).
+def transition_rows(model, xs_prev: np.ndarray, xs_new: np.ndarray,
+                    new_offset: np.ndarray | float = 0.0,
+                    prev_offset: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows whose inner products are the transition log-densities.
 
-    With a = x_new / sqrt(q) and b = mean / sqrt(q), the log-density is
-    [a_i, 1, -|a_i|^2/2] . [b_j, c - |b_j|^2/2, 1], c the normalizing
-    constant: one (n_new, d+2) @ (d+2, n_prev) product.
+    With a = x_new / sqrt(q) and b = mean / sqrt(q), c the normalizing
+    constant, the rows are [a_i, 1, -|a_i|^2/2 + new_offset_i] and
+    [b_j, c - |b_j|^2/2 + prev_offset_j, 1], so that
+    rows_new[i] . rows_prev[j] = log m(xs_prev[j] -> xs_new[i])
+    + new_offset_i + prev_offset_j.  Shapes (n_new, d+2) and (n_prev, d+2).
     """
     mean = transition_mean(model, xs_prev)                 # (n_prev, d)
     d = mean.shape[1]
@@ -406,11 +414,22 @@ def log_m_cross(model, xs_prev: np.ndarray, xs_new: np.ndarray, t: int) -> np.nd
     rows_new = np.empty((xs_new.shape[0], d + 2))
     rows_new[:, :d] = xs_new * inv_sd
     rows_new[:, d] = 1.0
-    rows_new[:, d + 1] = -0.5 * np.einsum("id,id->i", rows_new[:, :d], rows_new[:, :d])
+    rows_new[:, d + 1] = new_offset - 0.5 * np.einsum("id,id->i", rows_new[:, :d],
+                                                      rows_new[:, :d])
     rows_prev = np.empty((mean.shape[0], d + 2))
     rows_prev[:, :d] = mean * inv_sd
-    rows_prev[:, d] = const - 0.5 * np.einsum("jd,jd->j", rows_prev[:, :d], rows_prev[:, :d])
+    rows_prev[:, d] = (const - 0.5 * np.einsum("jd,jd->j", rows_prev[:, :d], rows_prev[:, :d])
+                       + prev_offset)
     rows_prev[:, d + 1] = 1.0
+    return rows_new, rows_prev
+
+
+def log_m_cross(model, xs_prev: np.ndarray, xs_new: np.ndarray, t: int) -> np.ndarray:
+    """log m(xs_prev[j] -> xs_new[i]) for all pairs; shape (n_new, n_prev).
+
+    One (n_new, d+2) @ (d+2, n_prev) product of ``transition_rows``.
+    """
+    rows_new, rows_prev = transition_rows(model, xs_prev, xs_new)
     return rows_new @ rows_prev.T
 
 
@@ -446,37 +465,52 @@ def log_g_batch(model, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown model type {type(model)}")
 
 
+def _carried_product(coeff: np.ndarray, carried: np.ndarray | None, feats: np.ndarray,
+                     dim_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """coeff @ carried (zeros without it) and coeff @ feats, from one product."""
+    if carried is None:
+        return np.zeros((coeff.shape[0], dim_theta)), coeff @ feats
+    prod = coeff @ np.concatenate([carried, feats], axis=1)
+    return prod[:, :dim_theta].copy(), prod[:, dim_theta:]
+
+
 def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
-                             y: np.ndarray, t: int, coeff: np.ndarray) -> np.ndarray:
+                             y: np.ndarray, t: int, coeff: np.ndarray,
+                             carried: np.ndarray | None = None) -> np.ndarray:
     """Row-wise contraction of pairwise theta-gradients.
 
-    Returns rows G[i] = sum_j coeff[i, j] * grad_theta(log m(xs_prev[j],
-    xs_new[i]) + log g(xs_new[i], y)), shape (n_new, dim_theta).  The
-    emission term is constant in j, so it enters scaled by the row sums.
+    Returns rows G[i] = sum_j coeff[i, j] * (carried[j] + grad_theta(log
+    m(xs_prev[j], xs_new[i]) + log g(xs_new[i], y))), shape (n_new,
+    dim_theta); without ``carried`` its term is zero.  The emission term
+    is constant in j, so it enters scaled by the row sums.  ``coeff`` is
+    read by one product with rows [carried_j, features_j], the features
+    being what the model's transition gradient sums over j: T(x_j) for
+    the linear Gaussian, the mean's derivatives for the chaotic RNN and
+    [mean, mean^2, 1] for the residual model, whose network part takes
+    one more pass in ``mlp.vjp_params_cross``.
     """
-    n_new = xs_new.shape[0]
     lay = theta_layout(model)
-    out = np.zeros((n_new, lay.total))
     y = np.asarray(y, dtype=np.float64)
     valid = ~np.isnan(y)
 
     if isinstance(model, LinearGaussianSSM):
         # transition: sum_j c_ij (x_i - F x_j) x_j' / q, from one product
-        d = xs_prev.shape[1]
-        moments = coeff @ gaussian.suff_stat_rows(xs_prev)  # (n_new, d + d*d + 1)
+        n_new, d = xs_new.shape
+        out, moments = _carried_product(coeff, carried, gaussian.suff_stat_rows(xs_prev),
+                                        lay.total)
         sx = moments[:, :d]
         sxx = moments[:, d:-1].reshape(n_new, d, d)
         row_sum = moments[:, -1]
         gF = (np.einsum("id,ie->ide", xs_new, sx) - np.einsum("de,ief->idf", model.F, sxx))
         f_spec = lay.by_name["F"]
-        out[:, f_spec.offset:f_spec.offset + f_spec.size] = (
+        out[:, f_spec.offset:f_spec.offset + f_spec.size] += (
             gF.reshape(n_new, -1) / model.q_var)
         # emission: row_sum_i * (y - G x_i) x_i' / r on valid coords
         if np.any(valid):
             resid_y = np.where(valid, y[None, :] - xs_new @ model.G.T, 0.0)
             gG = np.einsum("i,ik,id->ikd", row_sum, resid_y / model.r_var, xs_new)
             g_spec = lay.by_name["G"]
-            out[:, g_spec.offset:g_spec.offset + g_spec.size] = gG.reshape(n_new, -1)
+            out[:, g_spec.offset:g_spec.offset + g_spec.size] += gG.reshape(n_new, -1)
         return out
 
     if isinstance(model, ChaoticRNNModel):
@@ -487,12 +521,12 @@ def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
         d_gamma = (model.delta / model.rho) * (th @ model.W.T)
         d_rho = -(model.delta / model.rho**2) * (push - xs_prev)
         d = xs_prev.shape[1]
-        sums = coeff @ np.concatenate(
+        out, sums = _carried_product(coeff, carried, np.concatenate(
             [d_rho, d_gamma, np.einsum("jd,jd->j", mean, d_rho)[:, None],
-             np.einsum("jd,jd->j", mean, d_gamma)[:, None]], axis=1)
-        out[:, lay.by_name["rho"].offset] = (
+             np.einsum("jd,jd->j", mean, d_gamma)[:, None]], axis=1), lay.total)
+        out[:, lay.by_name["rho"].offset] += (
             np.einsum("id,id->i", xs_new, sums[:, :d]) - sums[:, 2 * d]) / model.q_var
-        out[:, lay.by_name["gamma"].offset] = (
+        out[:, lay.by_name["gamma"].offset] += (
             np.einsum("id,id->i", xs_new, sums[:, d:2 * d]) - sums[:, 2 * d + 1]) / model.q_var
         return out
 
@@ -501,15 +535,17 @@ def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
         q = model.q_diag
         mean = transition_mean(model, xs_prev)
         d = mean.shape[1]
-        f_spec = lay.by_name["f_net"]
-        out[:, f_spec.offset:f_spec.offset + f_spec.size] = mlp.vjp_params_cross(
-            model.f_net, xs_prev, coeff, xs_new / q, mean / q)
         # sum_j c_ij (-1/2 + (x_i - mean_j)^2 / (2 q)) from c @ [mean, mean^2, 1]
-        sums = coeff @ np.concatenate([mean, mean * mean, np.ones((mean.shape[0], 1))],
-                                      axis=1)
+        out, sums = _carried_product(
+            coeff, carried,
+            np.concatenate([mean, mean * mean, np.ones((mean.shape[0], 1))], axis=1),
+            lay.total)
+        f_spec = lay.by_name["f_net"]
+        out[:, f_spec.offset:f_spec.offset + f_spec.size] += mlp.vjp_params_cross(
+            model.f_net, xs_prev, coeff, xs_new / q, mean / q)
         row_sum = sums[:, -1]
         q_spec = lay.by_name["log_q_diag"]
-        out[:, q_spec.offset:q_spec.offset + q_spec.size] = (
+        out[:, q_spec.offset:q_spec.offset + q_spec.size] += (
             -0.5 * row_sum[:, None]
             + 0.5 * (xs_new * xs_new * row_sum[:, None] - 2.0 * xs_new * sums[:, :d]
                      + sums[:, d:2 * d]) / q)
@@ -518,10 +554,10 @@ def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
             resid_y = np.where(valid, y[None, :] - g_out, 0.0)
             cot_g = row_sum[:, None] * resid_y / model.r_diag
             g_spec = lay.by_name["g_net"]
-            out[:, g_spec.offset:g_spec.offset + g_spec.size] = mlp.vjp_params_batched(
+            out[:, g_spec.offset:g_spec.offset + g_spec.size] += mlp.vjp_params_batched(
                 model.g_net, xs_new, cot_g, acts=g_acts)
             r_spec = lay.by_name["log_r_diag"]
-            out[:, r_spec.offset:r_spec.offset + r_spec.size] = (
+            out[:, r_spec.offset:r_spec.offset + r_spec.size] += (
                 row_sum[:, None] * np.where(valid, -0.5 + 0.5 * resid_y * resid_y / model.r_diag, 0.0))
         return out
 

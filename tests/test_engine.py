@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sstats
 
 from streamvi import engine, gaussian, gradients, models, oracle, variational as var
-from streamvi.errors import BadBounds, DegenerateRow, MissingBound
+from streamvi.errors import BadBounds, ConflictingSetting, DegenerateRow, MissingBound
 
 
 def make_lgssm(rng, d=1):
@@ -394,3 +394,23 @@ class TestStep:
                                   np.random.default_rng(1))
         state, _ = engine.step(state, np.array([0.2]), m, cfg, np.random.default_rng(2))
         assert state.last_step_ns > 0
+
+    def test_runner_window_must_match_config(self):
+        # the engine reads the window from the runner only, so a different
+        # EngineConfig.truncation_window would be ignored without the check
+        rng = np.random.default_rng(27)
+        m = make_lgssm(rng)
+        cfg = engine.EngineConfig(n_particles=3, truncation_window=2)
+        with pytest.raises(ConflictingSetting):
+            engine.init_state(m, make_runner(rng, window=1), np.array([0.1]), cfg, rng)
+        state = engine.init_state(m, make_runner(rng, window=2), np.array([0.1]), cfg, rng)
+        assert state.t == 0
+
+    def test_conjugate_runner_has_no_window_to_check(self):
+        rng = np.random.default_rng(28)
+        m = make_lgssm(rng)
+        _, ys = models.simulate(m, 2, rng)
+        runner = engine.ConjugateRunner(var.exact_conjugate_mode(m, oracle.kalman_filter(m, ys)))
+        cfg = engine.EngineConfig(n_particles=3, truncation_window=5, compute_grads=False)
+        state = engine.init_state(m, runner, ys[0], cfg, rng)
+        assert state.t == 0

@@ -92,9 +92,17 @@ def ref_pair_contract(model, xs_prev, xs_new, y, coeff):
     return out
 
 
-def ref_update_statistics(cloud_prev, xi_new, model, runner, y, t, kernel, center):
+def ref_update_statistics(cloud_prev, xi_new, model, runner, y, t, kernel, center,
+                          clip=None):
+    """h, g and f of the full update; ``clip`` = (lo, hi) weights by the clamped
+    potential, the bracket keeping the kernel log-density."""
     log_kernel = ref_log_density_cross(kernel.eta1, kernel.eta2, cloud_prev.xi)
-    log_unnorm = log_kernel - cloud_prev.log_q_marginal[None, :]
+    if clip is None:
+        log_unnorm = log_kernel - cloud_prev.log_q_marginal[None, :]
+    else:
+        log_pot = (kernel.pot_eta1 @ cloud_prev.xi.T
+                   + np.einsum("md,nde,me->nm", cloud_prev.xi, kernel.pot_eta2, cloud_prev.xi))
+        log_unnorm = np.clip(log_pot, *clip)
     w = np.exp(log_unnorm - log_unnorm.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
     h_tilde = (ref_log_m_cross(model, cloud_prev.xi, xi_new)
@@ -124,10 +132,7 @@ def assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("make_model", [make_lgssm, make_residual], ids=["lgssm", "residual"])
-@pytest.mark.parametrize("n_prev,n_new", [(6, 4), (3, 5), (1, 1)])
-@pytest.mark.parametrize("center", [False, True], ids=["plain", "centered"])
-def test_update_statistics_matches_direct_forms(make_model, n_prev, n_new, center):
+def check_update_statistics(make_model, n_prev, n_new, center, clip):
     rng = np.random.default_rng(50 + n_prev + 10 * n_new)
     model = make_model(rng)
     params = var.init_amortizer(rng, D, D, hidden=5, head_hidden=(5,), pot_hidden=(5,),
@@ -143,18 +148,44 @@ def test_update_statistics_matches_direct_forms(make_model, n_prev, n_new, cente
     eta = runner.current_eta()
     xi_new = gaussian.sample(eta, rng, n_new)
     log_q_new = gaussian.log_density_cross(eta.eta1[None], eta.eta2[None], xi_new)[0]
+    bounds = None
+    if clip:
+        # bounds at the potentials' quartiles, so both clamps bind where n_prev > 1
+        pot = engine.potential_cross(*runner.potential_batch(xi_new)[:2], cloud.xi)
+        lo, hi = np.quantile(pot, [0.25, 0.75])
+        bounds = (lo, hi) if lo < hi else (lo - 1.0, lo + 1.0)
+        config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,
+                                     clip_enabled=True, log_eps_minus=bounds[0],
+                                     log_eps_plus=bounds[1])
     kernel = engine.build_kernel(runner, cloud, xi_new, config)
+    # one cross per kernel: the clamped potentials or the kernel log-densities
+    assert (kernel.log_pot_cross is None) != (kernel.log_kernel_cross is None)
     wmat = engine.compute_weights(cloud, kernel)
     got = engine.update_statistics(cloud, wmat, xi_new, model, runner, ys[2], 2, kernel,
                                    log_q_new, center_gstat=center)
     h_ref, g_ref, f_ref = ref_update_statistics(cloud, xi_new, model, runner, ys[2], 2,
-                                                kernel, center)
+                                                kernel, center, clip=bounds)
     assert np.abs(cloud.f_stat).max() > 0.0
     # a centered bracket over one previous particle is zero, so g stays zero
     assert (np.abs(cloud.g_stat).max() > 0.0) != (center and n_prev == 1)
     assert_close(got.h_stat, h_ref)
     assert_close(got.g_stat, g_ref)
     assert_close(got.f_stat, f_ref)
+
+
+@pytest.mark.parametrize("make_model", [make_lgssm, make_residual], ids=["lgssm", "residual"])
+@pytest.mark.parametrize("n_prev,n_new", [(6, 4), (3, 5), (1, 1)])
+@pytest.mark.parametrize("center", [False, True], ids=["plain", "centered"])
+def test_update_statistics_matches_direct_forms(make_model, n_prev, n_new, center):
+    check_update_statistics(make_model, n_prev, n_new, center, clip=False)
+
+
+@pytest.mark.parametrize("make_model", [make_lgssm, make_residual], ids=["lgssm", "residual"])
+@pytest.mark.parametrize("n_prev,n_new", [(6, 4), (3, 5), (1, 1)])
+@pytest.mark.parametrize("center", [False, True], ids=["plain", "centered"])
+def test_clipped_update_statistics_matches_direct_forms(make_model, n_prev, n_new, center):
+    # weights from the clamped potentials, the bracket from the kernel log-density
+    check_update_statistics(make_model, n_prev, n_new, center, clip=True)
 
 
 def test_chaotic_pair_contract_matches_direct_form():

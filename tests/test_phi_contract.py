@@ -171,6 +171,19 @@ def test_estimate_and_sampled_step_allocate_few_phi_arrays():
     assert peak_units(lambda: engine.step(state, y, model, config, rng), unit) <= 2.5
 
 
+@pytest.mark.parametrize("clip", [False, True], ids=["kernel_weights", "clamped_weights"])
+def test_full_step_keeps_two_pair_arrays(clip):
+    n = 500
+    state, model, config, rng, y = make_run(n, seed=51, hidden=16, steps=3, clip=clip)
+    unit = n * n * 8
+    kept = (state.cloud.g_stat.nbytes + state.cloud.f_stat.nbytes) / unit
+    units = peak_units(lambda: engine.step(state, y, model, config, rng), unit)
+    # the weights and one of the kernel cross or the bracket, plus the new
+    # cloud's g and f; a third N x N array alive at once adds 1.0
+    assert units <= 2.5 + kept
+    assert units <= 5.0
+
+
 # ---------------------------------------------------------------------------
 # the finiteness check
 # ---------------------------------------------------------------------------
