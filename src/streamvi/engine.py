@@ -25,13 +25,21 @@ All weight arithmetic is in log space with per-row log-sum-exp
 normalization.  Rows with zero total mass raise instead of silently
 falling back to uniform.
 
-On the full route every N x N quantity is one BLAS product of
-per-particle feature rows.  The kernel cross (the kernel log-densities,
-or with clipping the clamped potentials, never both) gives the weights
-and is dropped; the pair bracket h_prev_j + log m(x_j -> x_i) + log g(x_i)
-- log k_i(x_j) is one more product, dropped once the moments are taken.
-So at most two N x N arrays, the weights and one of these, are live at
-once.
+On the full route every row of the N x N update belongs to one new
+particle: its weights are normalised, and its bracket contracted,
+independently of the other rows.  So the update runs over blocks of
+new-particle rows, each block's arrays at most ``ROW_BLOCK_BYTES``, and
+every pairwise quantity of a block is one BLAS product of per-particle
+feature rows.  Per block, the kernel cross (the kernel log-densities, or
+with clipping the clamped potentials) is normalised in place into the
+block's weights; the pair bracket h_prev_j + log m(x_j -> x_i) + log g(x_i)
+- log k_i(x_j) of those rows is one more product; and the weights'
+products with the carried g, the sufficient statistics and the model's
+theta rows fill the block's rows of the new statistics.  Everything on
+the previous-particle side is built once per step.  So a step holds at
+most two block-sized arrays, the weights and the bracket, and no N x N
+array; only the categorical draws and ``keep_weights`` assemble the whole
+weight matrix, block by block.
 """
 
 from __future__ import annotations
@@ -45,6 +53,12 @@ from . import gaussian, gradients, models, variational as var
 from .errors import (BadBounds, ConflictingSetting, DegenerateRow, MissingBound,
                      NonFiniteStatistic)
 from .gaussian import GaussianNatural
+
+# Bytes of one block's (rows, N_prev) float64 array on the full route.  At
+# N=2000 on a 2-core x86 VM with one BLAS thread, 0.5 MiB blocks were
+# slower, 1-8 MiB about as fast as one whole block, and larger blocks only
+# raised peak memory.
+ROW_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -234,6 +248,8 @@ class ConjugateRunner:
         self.t = -1
         self.compute_grads = False
         self.dim_phi = 0
+        self.window = None        # no truncation window to check
+        self.chain_cur = None     # no chain for phi-scores
 
     def begin_step(self, y_t: np.ndarray) -> None:
         self.t += 1
@@ -272,9 +288,8 @@ def init_cloud(model, runner, y0: np.ndarray, n: int, rng: np.random.Generator,
         g_stat = np.zeros((n, runner.dim_phi))
     if dim_theta is not None:
         f_stat = models.grad_theta_init_batch(model, xi, y0)
-    chain = getattr(runner, "chain_cur", None)
     cloud = ParticleCloud(xi=xi, h_stat=h, g_stat=g_stat, f_stat=f_stat,
-                          log_q_marginal=log_q, eta=eta, t=0, chain=chain)
+                          log_q_marginal=log_q, eta=eta, t=0, chain=runner.chain_cur)
     _check_finite(cloud)
     return cloud
 
@@ -285,67 +300,85 @@ class KernelBatch:
 
     eta1: np.ndarray          # (N, d) eta_prev + eta~(xi_new_i)
     eta2: np.ndarray          # (N, d, d)
-    log_kernel_cross: np.ndarray | None   # (N_new, N_prev) kernel log-densities, unclipped
-    log_pot_cross: np.ndarray | None      # (N_new, N_prev) clamped potentials, clipped
     pot_eta1: np.ndarray
     pot_eta2: np.ndarray
     pot_raw: np.ndarray | None
     pot_acts: object | None
 
 
-def build_kernel(runner, cloud_prev: ParticleCloud, xi_new: np.ndarray,
-                 config: EngineConfig, need_cross: bool = True) -> KernelBatch:
-    """Kernel parameters per new particle and, if ``need_cross``, one N x N cross.
+def build_kernel(runner, xi_new: np.ndarray) -> KernelBatch:
+    """Kernel parameters per new particle, eta_prev + eta~(xi_new_i).
 
-    The kernel of new particle i is eta_prev + eta~(xi_new_i).  The cross
-    is what the weights read: the clamped potentials when clipping is on,
-    the kernel log-densities otherwise.  The pair bracket reads neither,
-    so only one is built.
+    The crosses that the weights read are built one row block at a time,
+    by ``block_weights``.
     """
     pot_eta1, pot_eta2, pot_raw, pot_acts = runner.potential_batch(xi_new)
     eta_prev = runner.kernel_marginal()
-    k_eta1 = eta_prev.eta1[None, :] + pot_eta1
-    k_eta2 = eta_prev.eta2[None, :, :] + pot_eta2
-    log_kernel_cross = None
-    log_pot_cross = None
-    if need_cross and config.clip_enabled:
-        log_pot_cross = potential_cross(pot_eta1, pot_eta2, cloud_prev.xi)
-        np.clip(log_pot_cross, config.log_eps_minus, config.log_eps_plus,
-                out=log_pot_cross)
-    elif need_cross:
-        log_kernel_cross = gaussian.log_density_cross(k_eta1, k_eta2, cloud_prev.xi)
-    return KernelBatch(eta1=k_eta1, eta2=k_eta2, log_kernel_cross=log_kernel_cross,
-                       log_pot_cross=log_pot_cross, pot_eta1=pot_eta1,
+    return KernelBatch(eta1=eta_prev.eta1[None, :] + pot_eta1,
+                       eta2=eta_prev.eta2[None, :, :] + pot_eta2, pot_eta1=pot_eta1,
                        pot_eta2=pot_eta2, pot_raw=pot_raw, pot_acts=pot_acts)
 
 
-def potential_cross(pot_eta1: np.ndarray, pot_eta2: np.ndarray,
-                    xs_prev: np.ndarray) -> np.ndarray:
+def potential_cross(pot_eta1: np.ndarray, pot_eta2: np.ndarray, xs_prev: np.ndarray,
+                    stats: np.ndarray | None = None) -> np.ndarray:
     """<eta~(xi_new_i), T(xs_prev_j)> for all pairs; shape (n_new, n_prev)."""
-    return gaussian.inner_cross(pot_eta1, pot_eta2, xs_prev)
+    return gaussian.inner_cross(pot_eta1, pot_eta2, xs_prev, stats=stats)
 
 
-def compute_weights(cloud_prev: ParticleCloud, kernel: KernelBatch) -> WeightMatrix:
-    """Self-normalized importance weights, one row per new particle.
+def row_blocks(n_new: int, n_prev: int) -> list[slice]:
+    """Consecutive slices of the new-particle rows, ``ROW_BLOCK_BYTES`` of
+    float64 per (rows, n_prev) array and at least one row each."""
+    size = max(1, ROW_BLOCK_BYTES // (8 * n_prev))
+    return [slice(lo, min(lo + size, n_new)) for lo in range(0, n_new, size)]
+
+
+def block_weights(cloud_prev: ParticleCloud, kernel: KernelBatch, config: EngineConfig,
+                  rows: slice, stats_prev: np.ndarray) -> np.ndarray:
+    """Self-normalized importance weights of the new-particle rows ``rows``.
 
     The unnormalized log-weight of pair (i, j) is
     log q_{t-1|t}(xi_new_i, xi_prev_j) - log q_{t-1}(xi_prev_j); when
     clipping is enabled the clamped potential replaces the kernel ratio
-    (they differ by a row constant when no clamp binds).  The kernel's
-    arrays are left unchanged.
+    (they differ by a row constant when no clamp binds).  The block's
+    cross is built here and ``compute_weights`` normalises it in place.
+    ``stats_prev`` holds ``suff_stat_rows`` of the previous particles.
+    Shape (n_rows, N_prev).
     """
-    if kernel.log_pot_cross is not None:
-        log_unnorm = kernel.log_pot_cross.copy()
+    if config.clip_enabled:
+        cross = potential_cross(kernel.pot_eta1[rows], kernel.pot_eta2[rows],
+                                cloud_prev.xi, stats_prev)
+        np.clip(cross, config.log_eps_minus, config.log_eps_plus, out=cross)
     else:
-        log_unnorm = kernel.log_kernel_cross - cloud_prev.log_q_marginal[None, :]
-    return WeightMatrix(w=_normalize_rows(log_unnorm))
+        cross = gaussian.log_density_cross(kernel.eta1[rows], kernel.eta2[rows],
+                                           cloud_prev.xi, stats=stats_prev)
+        cross -= cloud_prev.log_q_marginal
+    return compute_weights(cross, rows.start).w
 
 
-def _normalize_rows(log_unnorm: np.ndarray) -> np.ndarray:
+def compute_weights(log_unnorm: np.ndarray, first_row: int = 0) -> WeightMatrix:
+    """Row-wise softmax of unnormalized log-weights, in place.
+
+    A row without finite mass raises ``DegenerateRow`` naming its row of
+    the whole update, ``first_row`` plus its index here.
+    """
+    return WeightMatrix(w=_normalize_rows(log_unnorm, first_row))
+
+
+def weight_matrix(cloud_prev: ParticleCloud, kernel: KernelBatch,
+                  config: EngineConfig) -> WeightMatrix:
+    """All N_new x N_prev weights, written block by block into one array."""
+    stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
+    w = np.empty((kernel.eta1.shape[0], cloud_prev.n))
+    for rows in row_blocks(*w.shape):
+        w[rows] = block_weights(cloud_prev, kernel, config, rows, stats_prev)
+    return WeightMatrix(w=w)
+
+
+def _normalize_rows(log_unnorm: np.ndarray, first_row: int = 0) -> np.ndarray:
     """Row-wise softmax, in place; a row without finite mass raises ``DegenerateRow``."""
     row_max = np.max(log_unnorm, axis=1)
     if not np.all(np.isfinite(row_max)):
-        bad = int(np.nonzero(~np.isfinite(row_max))[0][0])
+        bad = first_row + int(np.nonzero(~np.isfinite(row_max))[0][0])
         raise DegenerateRow(f"weight row {bad} has no finite mass")
     log_unnorm -= row_max[:, None]
     w = np.exp(log_unnorm, out=log_unnorm)
@@ -354,15 +387,17 @@ def _normalize_rows(log_unnorm: np.ndarray) -> np.ndarray:
 
 
 def pair_terms(model, cloud_prev: ParticleCloud, xi_new: np.ndarray, y_t: np.ndarray,
-               t: int, kernel: KernelBatch) -> np.ndarray:
-    """The pair bracket h_prev_j + h~_t(xi_prev_j, xi_new_i); shape (N_new, N_prev).
+               kernel: KernelBatch, stats_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows (left, right) of the pair bracket, whose product
+    ``left @ right.T`` is h_prev_j + h~_t(xi_prev_j, xi_new_i), shape (N_new, N_prev).
 
     b_ij = h_prev_j + log m(x_j -> x_i) + log g(x_i) - log k_i(x_j), with
-    log k_i(x) = <eta1_i, x> + x' eta2_i x - A_i, is one product of
-    feature rows: [transition rows of x_new, with A_i + log g_i in their
-    constant column | -eta1_i, -vec eta2_i] against [transition rows of
-    x_prev, with h_prev_j in theirs | x_j, vec(x_j x_j')].  K = 2d+2+d^2
-    columns; the kernel cross is not read.
+    log k_i(x) = <eta1_i, x> + x' eta2_i x - A_i: left is [transition rows
+    of x_new, with A_i + log g_i in their constant column | -eta1_i,
+    -vec eta2_i], right is [transition rows of x_prev, with h_prev_j in
+    theirs | x_j, vec(x_j x_j')], K = 2d+2+d^2 columns.  ``stats_prev``
+    holds ``suff_stat_rows`` of the previous particles.  A block of rows
+    of the bracket is ``left[rows] @ right.T``.
     """
     n_new, d = xi_new.shape
     offset_new = (gaussian.log_partition_batch(kernel.eta1, kernel.eta2)
@@ -371,9 +406,8 @@ def pair_terms(model, cloud_prev: ParticleCloud, xi_new: np.ndarray, y_t: np.nda
                                                  offset_new, cloud_prev.h_stat)
     left = np.concatenate([rows_new, -kernel.eta1, -kernel.eta2.reshape(n_new, d * d)],
                           axis=1)
-    right = np.concatenate([rows_prev, gaussian.suff_stat_rows(cloud_prev.xi)[:, :-1]],
-                           axis=1)
-    return left @ right.T
+    right = np.concatenate([rows_prev, stats_prev[:, :-1]], axis=1)
+    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -399,50 +433,69 @@ def _check_finite(cloud: ParticleCloud) -> None:
                 f"{name} statistic non-finite at particle {int(bad[0])}, t={cloud.t}")
 
 
-def update_statistics(cloud_prev: ParticleCloud, wmat: WeightMatrix,
-                      xi_new: np.ndarray, model, runner, y_t: np.ndarray, t: int,
-                      kernel: KernelBatch, log_q_new: np.ndarray,
-                      center_gstat: bool = False) -> ParticleCloud:
+def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runner,
+                      y_t: np.ndarray, t: int, kernel: KernelBatch, log_q_new: np.ndarray,
+                      config: EngineConfig, kept: np.ndarray | None = None) -> ParticleCloud:
     """Full O(N^2) self-normalized update of all three statistics.
 
-    With the bracket from ``pair_terms`` (one product, h_prev included),
-    one product (w * bracket) @ [x_j, vec(x_j x_j'), 1] gives the weighted
-    first and second moments that contract the kernel scores, and h_new
-    as its last column; the bracket is then dropped, so the weights and
-    the bracket are the only N x N arrays.  Centering the g-bracket by
-    h_new subtracts h_new * (w @ T).  The carried f enters the model's own
-    product with w (``grad_theta_pair_contract(..., carried=)``); the
-    carried g is one product w @ g_prev.
+    One loop over blocks of new-particle rows (``row_blocks``).  Per block:
+    ``block_weights`` gives the weights w; the bracket of ``pair_terms``'
+    feature rows (h_prev included), times w, in one product with
+    [x_j, vec(x_j x_j'), 1] gives the weighted first and second moments
+    that contract the kernel scores, and h_new as its last column;
+    centering the g-bracket by h_new subtracts h_new * (w @ T); w @ g_prev
+    goes straight into the new g's rows; and one product of w with
+    ``models.grad_theta_pair_rows`` (the carried f first) gives the theta
+    side.  The previous-particle rows are built once per step, so at most
+    two block-sized arrays, the weights and the bracket, are live at once.
+    ``kept``, an (N_new, N_prev) array, receives the weights if given.
     """
-    w = wmat.w
-    d = cloud_prev.xi.shape[1]
+    n_new = xi_new.shape[0]
+    n_prev, d = cloud_prev.xi.shape
     stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
-    cw = pair_terms(model, cloud_prev, xi_new, y_t, t, kernel)
-    cw *= w
-    moments = cw @ stats_prev                            # (N_new, d + d*d + 1)
-    del cw
-    h_new = moments[:, -1].copy()
-
-    g_new = None
+    left, right = pair_terms(model, cloud_prev, xi_new, y_t, kernel, stats_prev)
+    moments = np.empty((n_new, stats_prev.shape[1]))     # (N_new, d + d*d + 1)
+    h_new = np.empty(n_new)
+    g_new = theta_rows = theta_sums = None
     if cloud_prev.g_stat is not None:
-        if center_gstat:
-            moments -= h_new[:, None] * (w @ stats_prev)
+        g_new = np.empty((n_new, cloud_prev.g_stat.shape[1]))
+    if cloud_prev.f_stat is not None:
+        theta_rows = models.grad_theta_pair_rows(model, cloud_prev.xi, cloud_prev.f_stat)
+        theta_sums = np.empty((n_new, theta_rows.shape[1]))
+
+    for rows in row_blocks(n_new, n_prev):
+        w = block_weights(cloud_prev, kernel, config, rows, stats_prev)
+        if kept is not None:
+            kept[rows] = w
+        cw = left[rows] @ right.T
+        cw *= w
+        block = moments[rows]
+        np.matmul(cw, stats_prev, out=block)
+        del cw
+        h_new[rows] = block[:, -1]
+        if g_new is not None:
+            if config.gstat_centered:
+                block -= h_new[rows, None] * (w @ stats_prev)
+            np.matmul(w, cloud_prev.g_stat, out=g_new[rows])
+        if theta_rows is not None:
+            np.matmul(w, theta_rows, out=theta_sums[rows])
+    del w                 # the last block's weights; nothing below reads them
+
+    if g_new is not None:
         mean, second = gaussian.mean_params_batch(kernel.eta1, kernel.eta2)
         # contraction of the closed-form kernel scores with the weights
         mass = moments[:, -1]
         u1 = moments[:, :d] - mass[:, None] * mean
         u2 = moments[:, d:-1].reshape(-1, d, d) - mass[:, None, None] * second
-        g_new = w @ cloud_prev.g_stat
         runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts, out=g_new)
 
     f_new = None
-    if cloud_prev.f_stat is not None:
-        f_new = models.grad_theta_pair_contract(model, cloud_prev.xi, xi_new, y_t, t, w,
-                                                carried=cloud_prev.f_stat)
+    if theta_sums is not None:
+        f_new = models.grad_theta_pair_finish(model, xi_new, y_t, theta_sums)
 
     cloud = ParticleCloud(xi=xi_new, h_stat=h_new, g_stat=g_new, f_stat=f_new,
                           log_q_marginal=log_q_new, eta=runner.current_eta(),
-                          t=t, chain=getattr(runner, "chain_cur", None))
+                          t=t, chain=runner.chain_cur)
     _check_finite(cloud)
     return cloud
 
@@ -497,7 +550,7 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
     """Index draws by accept-reject against a per-row bound, with an exact fallback.
 
     Row i's target is its clamped potential over the previous particles,
-    the row that ``compute_weights`` normalizes.  Each round, every
+    the row that ``block_weights`` normalizes.  Each round, every
     pending draw proposes a uniform index j and accepts it with
     probability exp(pot_ij - B_i), B_i from ``_potential_bound``.  A draw
     still pending after N proposals, what one exact row costs, is drawn
@@ -556,7 +609,7 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray, m_draw
     n_new = xi_new.shape[0]
     if method == "categorical":
         if wmat is None:
-            wmat = compute_weights(cloud_prev, kernel)
+            wmat = weight_matrix(cloud_prev, kernel, config)
         idx = _categorical_rows(wmat.w, m_draws, rng)
     elif method == "accept_reject":
         idx = _accept_reject_rows(cloud_prev, kernel, config, m_draws, rng)
@@ -600,7 +653,7 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray, m_draw
 
     cloud = ParticleCloud(xi=xi_new, h_stat=h_new, g_stat=g_new, f_stat=f_new,
                           log_q_marginal=log_q_new, eta=runner.current_eta(),
-                          t=t, chain=getattr(runner, "chain_cur", None))
+                          t=t, chain=runner.chain_cur)
     _check_finite(cloud)
     return cloud
 
@@ -672,10 +725,9 @@ def init_state(model, runner, y0: np.ndarray, config: EngineConfig,
     whose ``window`` differs from ``config.truncation_window`` raises
     ``ConflictingSetting`` rather than ignoring the config.
     """
-    window = getattr(runner, "window", None)
-    if window is not None and window != config.truncation_window:
+    if runner.window is not None and runner.window != config.truncation_window:
         raise ConflictingSetting(
-            f"runner window {window} != EngineConfig.truncation_window "
+            f"runner window {runner.window} != EngineConfig.truncation_window "
             f"{config.truncation_window}")
     dim_theta = models.theta_layout(model).total if config.compute_grads else None
     cloud = init_cloud(model, runner, y0, config.n_particles, rng,
@@ -693,19 +745,17 @@ def step(state: EngineState, y_t: np.ndarray, model, config: EngineConfig,
     xi_new = gaussian.sample(eta_t, rng, config.n_particles)
     log_q_new = gaussian.log_density_cross(eta_t.eta1[None], eta_t.eta2[None], xi_new)[0]
     t_new = state.t + 1
-    need_cross = config.method != "accept_reject" or keep_weights
-    kernel = build_kernel(runner, state.cloud, xi_new, config, need_cross=need_cross)
+    kernel = build_kernel(runner, xi_new)
     wmat = None
     if config.method == "full":
-        wmat = compute_weights(state.cloud, kernel)
-        # the weights are all the update reads of the cross
-        kernel.log_kernel_cross = kernel.log_pot_cross = None
-        cloud_new = update_statistics(state.cloud, wmat, xi_new, model, runner,
-                                      y_t, t_new, kernel, log_q_new,
-                                      center_gstat=config.gstat_centered)
+        if keep_weights:
+            wmat = WeightMatrix(w=np.empty((xi_new.shape[0], state.cloud.n)))
+        cloud_new = update_statistics(state.cloud, xi_new, model, runner, y_t, t_new,
+                                      kernel, log_q_new, config,
+                                      kept=None if wmat is None else wmat.w)
     else:
         if keep_weights:
-            wmat = compute_weights(state.cloud, kernel)
+            wmat = weight_matrix(state.cloud, kernel, config)
         cloud_new = backward_sample_update(state.cloud, xi_new, config.m_backward,
                                            rng, model, runner, y_t, t_new, kernel,
                                            log_q_new, config, method=config.method,

@@ -220,27 +220,29 @@ def suff_stat_rows(xs: np.ndarray) -> np.ndarray:
 
 
 def inner_cross(eta1: np.ndarray, eta2: np.ndarray, xs: np.ndarray,
-                offset: np.ndarray | float = 0.0) -> np.ndarray:
+                offset: np.ndarray | float = 0.0,
+                stats: np.ndarray | None = None) -> np.ndarray:
     """<eta[i], T(xs[j])> + offset[i] for every (i, j) pair; shape (n, m).
 
     eta1: (n, d), eta2: (n, d, d), xs: (m, d); one (n, d+d*d+1) @ (d+d*d+1, m)
-    product.
+    product.  ``stats`` is ``suff_stat_rows(xs)`` when the caller has it.
     """
     n, d = eta1.shape
     coef = np.empty((n, d + d * d + 1))
     coef[:, :d] = eta1
     coef[:, d:-1] = eta2.reshape(n, d * d)
     coef[:, -1] = offset
-    return coef @ suff_stat_rows(xs).T
+    return coef @ (suff_stat_rows(xs) if stats is None else stats).T
 
 
-def log_density_cross(eta1: np.ndarray, eta2: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def log_density_cross(eta1: np.ndarray, eta2: np.ndarray, xs: np.ndarray,
+                      stats: np.ndarray | None = None) -> np.ndarray:
     """log N(xs[j]; eta[i]) for every (i, j) pair; shape (n, m).
 
     eta1: (n, d), eta2: (n, d, d), xs: (m, d).  The log-partition enters as
-    the offset of ``inner_cross``.
+    the offset of ``inner_cross``, which ``stats`` is passed on to.
     """
-    return inner_cross(eta1, eta2, xs, -log_partition_batch(eta1, eta2))
+    return inner_cross(eta1, eta2, xs, -log_partition_batch(eta1, eta2), stats)
 
 
 def mean_params_batch(eta1: np.ndarray, eta2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

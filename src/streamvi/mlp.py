@@ -11,7 +11,9 @@ estimators need:
 - ``vjp_params_cross``: weighted sums of per-sample gradients under
   pairwise cotangents coeff[k, j] * (a[k] - b[j]); the vjp is linear in
   the cotangent, so this takes out+1 per-sample passes and one matrix
-  product, with no (k, m, ...) tensor;
+  product, with no (k, m, ...) tensor.  Its two halves, the per-sample
+  rows and the finish after the product, are public, so a caller can
+  fold the rows into a product of its own;
 - ``rows_backward``: full Jacobian rows of the output w.r.t. parameters
   and input, for chaining into recurrent backpropagation.
 
@@ -134,6 +136,34 @@ def vjp_params_batched(params: MLPParams, xs: np.ndarray | None, cots: np.ndarra
     return np.concatenate([np.concatenate([gw, gb], axis=1) for gw, gb in grads], axis=1)
 
 
+def vjp_params_cross_rows(params: MLPParams, xs: np.ndarray | None, b: np.ndarray,
+                          acts=None) -> np.ndarray:
+    """Per-sample gradient rows [J_0, ..., J_{out-1}, V]; shape (m, (out+1) n_params).
+
+    J_o holds the per-sample gradients under the unit cotangent e_o and V
+    those under the cotangents b (m, out).  A weighted sum ``coeff @`` these
+    rows is what ``vjp_params_cross_finish`` reads; xs may be None when
+    cached activations are supplied.
+    """
+    if acts is None:
+        _, acts = forward_cached(params, xs)
+    m, out = b.shape
+    per_sample = [vjp_params_batched(params, None, np.broadcast_to(e, (m, out)), acts=acts)
+                  for e in np.eye(out)]
+    per_sample.append(vjp_params_batched(params, None, b, acts=acts))
+    return np.concatenate(per_sample, axis=1)
+
+
+def vjp_params_cross_finish(a: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """sum_o a[k,o] (coeff @ J_o)[k] - (coeff @ V)[k] from sums = coeff @ rows.
+
+    ``rows`` from ``vjp_params_cross_rows``; a (k, out), sums (k, (out+1) n_params).
+    """
+    k, out = a.shape
+    sums = sums.reshape(k, out + 1, -1)
+    return np.einsum("ko,kop->kp", a, sums[:, :out]) - sums[:, out]
+
+
 def vjp_params_cross(params: MLPParams, xs: np.ndarray, coeff: np.ndarray,
                      a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Weighted sums of per-sample gradients under factorized cotangents.
@@ -142,15 +172,11 @@ def vjp_params_cross(params: MLPParams, xs: np.ndarray, coeff: np.ndarray,
     sum_j coeff[k,j] d<a[k] - b[j], f(xs[j])>/d params, shape (k, n_params).
     By linearity in the cotangent that is
     sum_o a[k,o] (coeff @ J_o)[k] - (coeff @ V)[k], with J_o the per-sample
-    gradients of output o and V those under the cotangents b.
+    gradients of output o and V those under the cotangents b: one product
+    of ``coeff`` with ``vjp_params_cross_rows``, then
+    ``vjp_params_cross_finish``.
     """
-    _, acts = forward_cached(params, xs)
-    m, out = b.shape
-    per_sample = [vjp_params_batched(params, None, np.broadcast_to(e, (m, out)), acts=acts)
-                  for e in np.eye(out)]
-    per_sample.append(vjp_params_batched(params, None, b, acts=acts))
-    sums = (coeff @ np.concatenate(per_sample, axis=1)).reshape(coeff.shape[0], out + 1, -1)
-    return np.einsum("ko,kop->kp", a, sums[:, :out]) - sums[:, out]
+    return vjp_params_cross_finish(a, coeff @ vjp_params_cross_rows(params, xs, b))
 
 
 def rows_backward(params: MLPParams, x: np.ndarray, acts=None):

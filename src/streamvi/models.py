@@ -22,8 +22,13 @@ the transition log-densities, the squared residual expanded as
 extends them by the kernel's rows so that its whole pair bracket is one
 product.  So these agree with the scalar ops to rounding that grows with
 |x|^2 + |mean|^2 over the noise variance, not exactly.
-``grad_theta_pair_contract`` reads the weights once, in one product that
-also carries the previous theta-statistic.
+``grad_theta_pair_contract`` is two halves around one product with the
+weights: ``grad_theta_pair_rows`` builds, once per step, rows of the
+previous theta-statistic and every per-particle feature the transition
+gradient sums over, the residual network's per-sample gradient rows
+among them; ``grad_theta_pair_finish`` completes the product's rows.
+The engine multiplies one row block of weights at a time with the rows,
+so it reads each block of the weights once.
 """
 
 from __future__ import annotations
@@ -427,8 +432,12 @@ def transition_rows(model, xs_prev: np.ndarray, xs_new: np.ndarray,
 def log_m_cross(model, xs_prev: np.ndarray, xs_new: np.ndarray, t: int) -> np.ndarray:
     """log m(xs_prev[j] -> xs_new[i]) for all pairs; shape (n_new, n_prev).
 
-    One (n_new, d+2) @ (d+2, n_prev) product of ``transition_rows``.
+    One (n_new, d+2) @ (d+2, n_prev) product of ``transition_rows``.  At
+    t=0, as in ``log_m``, it is the initial log-density of xs_new[i], the
+    same in every column.
     """
+    if t == 0:
+        return np.repeat(log_init_batch(model, xs_new)[:, None], xs_prev.shape[0], axis=1)
     rows_new, rows_prev = transition_rows(model, xs_prev, xs_new)
     return rows_new @ rows_prev.T
 
@@ -465,42 +474,57 @@ def log_g_batch(model, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown model type {type(model)}")
 
 
-def _carried_product(coeff: np.ndarray, carried: np.ndarray | None, feats: np.ndarray,
-                     dim_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """coeff @ carried (zeros without it) and coeff @ feats, from one product."""
-    if carried is None:
-        return np.zeros((coeff.shape[0], dim_theta)), coeff @ feats
-    prod = coeff @ np.concatenate([carried, feats], axis=1)
-    return prod[:, :dim_theta].copy(), prod[:, dim_theta:]
+def grad_theta_pair_rows(model, xs_prev: np.ndarray, carried: np.ndarray) -> np.ndarray:
+    """Rows [carried_j, features_j] that the weights multiply; shape (n_prev, p).
+
+    The features are what the model's transition gradient sums over j:
+    T(x_j) for the linear Gaussian, the mean's derivatives for the chaotic
+    RNN and, for the residual model, [mean, mean^2, 1] followed by the
+    network's per-sample gradient rows (``mlp.vjp_params_cross_rows``
+    under the cotangents mean / q).  ``grad_theta_pair_finish`` turns
+    coeff @ rows into the contracted gradients.
+    """
+    if isinstance(model, LinearGaussianSSM):
+        feats = [gaussian.suff_stat_rows(xs_prev)]
+    elif isinstance(model, ChaoticRNNModel):
+        th = np.tanh(xs_prev)
+        push = model.gamma * (th @ model.W.T)               # (n_prev, d)
+        mean = xs_prev + (model.delta / model.rho) * (push - xs_prev)
+        d_gamma = (model.delta / model.rho) * (th @ model.W.T)
+        d_rho = -(model.delta / model.rho**2) * (push - xs_prev)
+        feats = [d_rho, d_gamma, np.einsum("jd,jd->j", mean, d_rho)[:, None],
+                 np.einsum("jd,jd->j", mean, d_gamma)[:, None]]
+    elif isinstance(model, ResidualNonlinearSSM):
+        f_out, f_acts = mlp.forward_cached(model.f_net, xs_prev)
+        mean = xs_prev + f_out
+        feats = [mean, mean * mean, np.ones((mean.shape[0], 1)),
+                 mlp.vjp_params_cross_rows(model.f_net, None, mean / model.q_diag,
+                                           acts=f_acts)]
+    else:
+        raise TypeError(f"unknown model type {type(model)}")
+    return np.concatenate([carried, *feats], axis=1)
 
 
-def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
-                             y: np.ndarray, t: int, coeff: np.ndarray,
-                             carried: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise contraction of pairwise theta-gradients.
+def grad_theta_pair_finish(model, xs_new: np.ndarray, y: np.ndarray,
+                           sums: np.ndarray) -> np.ndarray:
+    """Contracted gradients from sums = coeff @ ``grad_theta_pair_rows``.
 
-    Returns rows G[i] = sum_j coeff[i, j] * (carried[j] + grad_theta(log
-    m(xs_prev[j], xs_new[i]) + log g(xs_new[i], y))), shape (n_new,
-    dim_theta); without ``carried`` its term is zero.  The emission term
-    is constant in j, so it enters scaled by the row sums.  ``coeff`` is
-    read by one product with rows [carried_j, features_j], the features
-    being what the model's transition gradient sums over j: T(x_j) for
-    the linear Gaussian, the mean's derivatives for the chaotic RNN and
-    [mean, mean^2, 1] for the residual model, whose network part takes
-    one more pass in ``mlp.vjp_params_cross``.
+    Row i is sum_j coeff[i, j] * (carried[j] + grad_theta(log m(x_j, x_i)
+    + log g(x_i, y))), shape (n_new, dim_theta).  The emission term is
+    constant in j, so it enters scaled by the row sums.
     """
     lay = theta_layout(model)
     y = np.asarray(y, dtype=np.float64)
     valid = ~np.isnan(y)
+    n_new, d = xs_new.shape
+    out = sums[:, :lay.total].copy()
+    sums = sums[:, lay.total:]
 
     if isinstance(model, LinearGaussianSSM):
-        # transition: sum_j c_ij (x_i - F x_j) x_j' / q, from one product
-        n_new, d = xs_new.shape
-        out, moments = _carried_product(coeff, carried, gaussian.suff_stat_rows(xs_prev),
-                                        lay.total)
-        sx = moments[:, :d]
-        sxx = moments[:, d:-1].reshape(n_new, d, d)
-        row_sum = moments[:, -1]
+        # transition: sum_j c_ij (x_i - F x_j) x_j' / q
+        sx = sums[:, :d]
+        sxx = sums[:, d:-1].reshape(n_new, d, d)
+        row_sum = sums[:, -1]
         gF = (np.einsum("id,ie->ide", xs_new, sx) - np.einsum("de,ief->idf", model.F, sxx))
         f_spec = lay.by_name["F"]
         out[:, f_spec.offset:f_spec.offset + f_spec.size] += (
@@ -515,15 +539,6 @@ def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
 
     if isinstance(model, ChaoticRNNModel):
         # sum_j c_ij (x_i - mean_j) . dmean_j = x_i . (c @ dmean)_i - (c @ (mean . dmean))_i
-        th = np.tanh(xs_prev)
-        push = model.gamma * (th @ model.W.T)               # (n_prev, d)
-        mean = xs_prev + (model.delta / model.rho) * (push - xs_prev)
-        d_gamma = (model.delta / model.rho) * (th @ model.W.T)
-        d_rho = -(model.delta / model.rho**2) * (push - xs_prev)
-        d = xs_prev.shape[1]
-        out, sums = _carried_product(coeff, carried, np.concatenate(
-            [d_rho, d_gamma, np.einsum("jd,jd->j", mean, d_rho)[:, None],
-             np.einsum("jd,jd->j", mean, d_gamma)[:, None]], axis=1), lay.total)
         out[:, lay.by_name["rho"].offset] += (
             np.einsum("id,id->i", xs_new, sums[:, :d]) - sums[:, 2 * d]) / model.q_var
         out[:, lay.by_name["gamma"].offset] += (
@@ -533,17 +548,11 @@ def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
     if isinstance(model, ResidualNonlinearSSM):
         # the cotangent of pair (i, j) is c_ij (x_i - mean_j) / q
         q = model.q_diag
-        mean = transition_mean(model, xs_prev)
-        d = mean.shape[1]
-        # sum_j c_ij (-1/2 + (x_i - mean_j)^2 / (2 q)) from c @ [mean, mean^2, 1]
-        out, sums = _carried_product(
-            coeff, carried,
-            np.concatenate([mean, mean * mean, np.ones((mean.shape[0], 1))], axis=1),
-            lay.total)
         f_spec = lay.by_name["f_net"]
-        out[:, f_spec.offset:f_spec.offset + f_spec.size] += mlp.vjp_params_cross(
-            model.f_net, xs_prev, coeff, xs_new / q, mean / q)
-        row_sum = sums[:, -1]
+        out[:, f_spec.offset:f_spec.offset + f_spec.size] += mlp.vjp_params_cross_finish(
+            xs_new / q, sums[:, 2 * d + 1:])
+        # sum_j c_ij (-1/2 + (x_i - mean_j)^2 / (2 q)) from c @ [mean, mean^2, 1]
+        row_sum = sums[:, 2 * d]
         q_spec = lay.by_name["log_q_diag"]
         out[:, q_spec.offset:q_spec.offset + q_spec.size] += (
             -0.5 * row_sum[:, None]
@@ -562,6 +571,23 @@ def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
         return out
 
     raise TypeError(f"unknown model type {type(model)}")
+
+
+def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
+                             y: np.ndarray, t: int, coeff: np.ndarray,
+                             carried: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise contraction of pairwise theta-gradients.
+
+    Returns rows G[i] = sum_j coeff[i, j] * (carried[j] + grad_theta(log
+    m(xs_prev[j], xs_new[i]) + log g(xs_new[i], y))), shape (n_new,
+    dim_theta); without ``carried`` its term is zero.  ``coeff`` is read
+    by one product with ``grad_theta_pair_rows``, and
+    ``grad_theta_pair_finish`` completes the rows.
+    """
+    if carried is None:
+        carried = np.zeros((xs_prev.shape[0], theta_layout(model).total))
+    return grad_theta_pair_finish(model, xs_new, y,
+                                  coeff @ grad_theta_pair_rows(model, xs_prev, carried))
 
 
 def grad_theta_emission_batch(model, xs: np.ndarray, y: np.ndarray) -> np.ndarray:

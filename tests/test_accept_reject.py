@@ -65,8 +65,8 @@ def hard_kernel(n_prev, slopes, log_eps_minus):
     cfg = engine.EngineConfig(n_particles=n_prev, compute_grads=False, clip_enabled=True,
                               log_eps_minus=log_eps_minus)
     cloud = make_cloud(xs)
-    kernel = engine.build_kernel(FixedPotentialRunner(pot_eta1, pot_eta2), cloud,
-                                 np.zeros((len(slopes), 2)), cfg)
+    kernel = engine.build_kernel(FixedPotentialRunner(pot_eta1, pot_eta2),
+                                 np.zeros((len(slopes), 2)))
     return cfg, cloud, kernel
 
 
@@ -139,8 +139,10 @@ class TestPotentialBound:
 class TestAcceptRejectRows:
     def test_fallback_samples_clamped_potential(self):
         cfg, cloud, kernel = hard_kernel(8, slopes=[20.0, 14.0, 25.0], log_eps_minus=-1.5)
-        assert np.any(kernel.log_pot_cross == cfg.log_eps_minus)   # the clamp binds
-        wmat = engine.compute_weights(cloud, kernel)
+        pot = np.clip(engine.potential_cross(kernel.pot_eta1, kernel.pot_eta2, cloud.xi),
+                      cfg.log_eps_minus, cfg.log_eps_plus)
+        assert np.any(pot == cfg.log_eps_minus)   # the clamp binds
+        wmat = engine.weight_matrix(cloud, kernel, cfg)
         draws = 20000
         rng = CountingGenerator(3)
         idx = engine._accept_reject_rows(cloud, kernel, cfg, draws, rng)
@@ -176,8 +178,8 @@ class TestAcceptRejectRows:
         cfg = engine.EngineConfig(n_particles=n_prev, compute_grads=False,
                                   clip_enabled=True, log_eps_minus=-5.0, log_eps_plus=5.0)
         cloud = make_cloud(xs)
-        kernel = engine.build_kernel(FixedPotentialRunner(pot_eta1, pot_eta2), cloud,
-                                     np.zeros((n_new, 2)), cfg, need_cross=False)
+        kernel = engine.build_kernel(FixedPotentialRunner(pot_eta1, pot_eta2),
+                                     np.zeros((n_new, 2)))
         m_draws = n_prev + extra
         rng.drawn = 0
         idx = engine._accept_reject_rows(cloud, kernel, cfg, m_draws, rng)

@@ -64,26 +64,26 @@ class TestComputeWeights:
         cloud = engine.init_cloud(m, runner, np.array([0.2]), n_prev, rng)
         runner.begin_step(np.array([-0.1]))
         xi_new = gaussian.sample(runner.current_eta(), rng, n_new)
-        kernel = engine.build_kernel(runner, cloud, xi_new, cfg)
+        kernel = engine.build_kernel(runner, xi_new)
         return m, runner, cfg, cloud, xi_new, kernel
 
     def test_single_particle_row(self):
         rng = np.random.default_rng(5)
-        _, _, _, cloud, _, kernel = self.setup_pieces(rng, n_prev=1, n_new=1)
-        w = engine.compute_weights(cloud, kernel)
+        _, _, cfg, cloud, _, kernel = self.setup_pieces(rng, n_prev=1, n_new=1)
+        w = engine.weight_matrix(cloud, kernel, cfg)
         np.testing.assert_allclose(w.w, [[1.0]])
 
     def test_zero_potential_uniform(self):
         rng = np.random.default_rng(6)
-        _, _, _, cloud, _, kernel = self.setup_pieces(rng, n_prev=5, n_new=3,
-                                                      zero_pot=True)
-        w = engine.compute_weights(cloud, kernel)
+        _, _, cfg, cloud, _, kernel = self.setup_pieces(rng, n_prev=5, n_new=3,
+                                                        zero_pot=True)
+        w = engine.weight_matrix(cloud, kernel, cfg)
         np.testing.assert_allclose(w.w, 1.0 / 5.0, atol=1e-12)
 
     def test_row_stochastic(self):
         rng = np.random.default_rng(7)
-        _, _, _, cloud, _, kernel = self.setup_pieces(rng, n_prev=6, n_new=6)
-        w = engine.compute_weights(cloud, kernel)
+        _, _, cfg, cloud, _, kernel = self.setup_pieces(rng, n_prev=6, n_new=6)
+        w = engine.weight_matrix(cloud, kernel, cfg)
         np.testing.assert_allclose(w.w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w.w >= 0.0)
 
@@ -91,18 +91,15 @@ class TestComputeWeights:
         # the two weight formulas agree after row normalization
         rng = np.random.default_rng(8)
         _, runner, cfg, cloud, xi_new, kernel = self.setup_pieces(rng, 4, 4)
-        w_ratio = engine.compute_weights(cloud, kernel)
+        w_ratio = engine.weight_matrix(cloud, kernel, cfg)
         log_pot = engine.potential_cross(kernel.pot_eta1, kernel.pot_eta2, cloud.xi)
         shifted = np.exp(log_pot - log_pot.max(axis=1, keepdims=True))
         w_pot = shifted / shifted.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(w_ratio.w, w_pot, atol=1e-12)
 
     def test_degenerate_row_raises(self):
-        rng = np.random.default_rng(9)
-        _, _, _, cloud, _, kernel = self.setup_pieces(rng, 3, 2)
-        kernel.log_kernel_cross[:] = -np.inf
         with pytest.raises(DegenerateRow):
-            engine.compute_weights(cloud, kernel)
+            engine.compute_weights(np.full((2, 3), -np.inf))
 
 
 def run_engine(model, runner, ys, config, seed, keep=False):
@@ -264,15 +261,15 @@ class TestBackwardSampling:
         xi_new = gaussian.sample(runner.current_eta(), rng, n)
         log_q_new = gaussian.log_density_cross(
             runner.current_eta().eta1[None], runner.current_eta().eta2[None], xi_new)[0]
-        kernel = engine.build_kernel(runner, cloud, xi_new, cfg)
+        kernel = engine.build_kernel(runner, xi_new)
         return m, runner, cfg, cloud, xi_new, log_q_new, kernel
 
     def test_conditionally_unbiased_given_weights(self):
         rng = np.random.default_rng(17)
         m, runner, cfg, cloud, xi_new, log_q_new, kernel = self.make_step_pieces(rng)
-        wmat = engine.compute_weights(cloud, kernel)
-        full = engine.update_statistics(cloud, wmat, xi_new, m, runner,
-                                        np.array([0.5]), 1, kernel, log_q_new)
+        wmat = engine.weight_matrix(cloud, kernel, cfg)
+        full = engine.update_statistics(cloud, xi_new, m, runner,
+                                        np.array([0.5]), 1, kernel, log_q_new, cfg)
         reps = 10**4
         acc = np.zeros((reps, cloud.n))
         for r in range(reps):
@@ -289,8 +286,8 @@ class TestBackwardSampling:
         m, runner, cfg, cloud, xi_new, log_q_new, kernel = self.make_step_pieces(rng, n=8)
         cfg = engine.EngineConfig(n_particles=8, compute_grads=False, clip_enabled=True,
                                   log_eps_minus=-50.0, log_eps_plus=8.0)
-        kernel = engine.build_kernel(runner, cloud, xi_new, cfg)
-        wmat = engine.compute_weights(cloud, kernel)
+        kernel = engine.build_kernel(runner, xi_new)
+        wmat = engine.weight_matrix(cloud, kernel, cfg)
         draws = 10**5
         idx = engine._accept_reject_rows(cloud, kernel, cfg, draws, rng)
         for i in range(2):  # a couple of rows is plenty
@@ -326,9 +323,8 @@ class TestBackwardSampling:
         sampled = engine.backward_sample_update(cloud, xi_new, 3, rng, m, runner,
                                                 np.array([0.5]), 1, kernel, log_q_new,
                                                 cfg, method="categorical")
-        wmat = engine.compute_weights(cloud, kernel)
-        full = engine.update_statistics(cloud, wmat, xi_new, m, runner,
-                                        np.array([0.5]), 1, kernel, log_q_new)
+        full = engine.update_statistics(cloud, xi_new, m, runner,
+                                        np.array([0.5]), 1, kernel, log_q_new, cfg)
         np.testing.assert_allclose(sampled.h_stat, full.h_stat, rtol=1e-12)
 
 

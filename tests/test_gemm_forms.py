@@ -157,12 +157,9 @@ def check_update_statistics(make_model, n_prev, n_new, center, clip):
         config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,
                                      clip_enabled=True, log_eps_minus=bounds[0],
                                      log_eps_plus=bounds[1])
-    kernel = engine.build_kernel(runner, cloud, xi_new, config)
-    # one cross per kernel: the clamped potentials or the kernel log-densities
-    assert (kernel.log_pot_cross is None) != (kernel.log_kernel_cross is None)
-    wmat = engine.compute_weights(cloud, kernel)
-    got = engine.update_statistics(cloud, wmat, xi_new, model, runner, ys[2], 2, kernel,
-                                   log_q_new, center_gstat=center)
+    kernel = engine.build_kernel(runner, xi_new)
+    got = engine.update_statistics(cloud, xi_new, model, runner, ys[2], 2, kernel,
+                                   log_q_new, config)
     h_ref, g_ref, f_ref = ref_update_statistics(cloud, xi_new, model, runner, ys[2], 2,
                                                 kernel, center, clip=bounds)
     assert np.abs(cloud.f_stat).max() > 0.0
@@ -199,6 +196,17 @@ def test_chaotic_pair_contract_matches_direct_form():
         [[models.grad_theta_log_joint_pair(model, xp, xn, np.full(D, np.nan), 1)
           for xp in xs_prev] for xn in xs_new]))
     assert_close(got, want)
+
+
+def test_vjp_params_cross_matches_direct_form():
+    rng = np.random.default_rng(61)
+    params = mlp.init_mlp(rng, [D, 6, D], scale=0.5)
+    xs, b = rng.standard_normal((5, D)), rng.standard_normal((5, D))
+    a = rng.standard_normal((3, D))
+    coeff = rng.uniform(0.0, 1.0, (3, 5))
+    got = mlp.vjp_params_cross(params, xs, coeff, a, b)
+    cots = coeff[:, :, None] * (a[:, None, :] - b[None, :, :])
+    assert_close(got, ref_vjp_params_cross(params, xs, cots))
 
 
 # ---------------------------------------------------------------------------

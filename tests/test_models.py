@@ -190,6 +190,17 @@ class TestBatchedVariants:
                     assert cross[i, j] == pytest.approx(
                         models.log_m(m, xp[j], xn[i], 1), abs=1e-10)
 
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_log_m_cross_matches_scalar_at_t(self, t):
+        # at t=0 both are the initial density of the new state, whatever x_prev
+        rng = np.random.default_rng(18 + t)
+        for m in (make_lgssm(rng), make_chaotic(rng), make_residual(rng)):
+            xp = rng.standard_normal((4, m.d_x))
+            xn = rng.standard_normal((3, m.d_x))
+            want = [[models.log_m(m, xp[j], xn[i], t) for j in range(4)] for i in range(3)]
+            np.testing.assert_allclose(models.log_m_cross(m, xp, xn, t), want,
+                                       rtol=1e-12, atol=1e-10)
+
     def test_log_g_batch_matches_scalar(self):
         rng = np.random.default_rng(13)
         for m in (make_lgssm(rng), make_chaotic(rng), make_residual(rng)):

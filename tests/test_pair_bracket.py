@@ -84,10 +84,11 @@ def test_pair_terms_matches_separate_forms(kind, d, n_prev, n_new, shift, h_scal
                                  log_q_marginal=np.zeros(n_prev),
                                  eta=GaussianNatural(eta1=np.zeros(d), eta2=-0.5 * np.eye(d)),
                                  t=1)
-    kernel = engine.KernelBatch(eta1=eta1, eta2=eta2, log_kernel_cross=None,
-                                log_pot_cross=None, pot_eta1=eta1, pot_eta2=eta2,
+    kernel = engine.KernelBatch(eta1=eta1, eta2=eta2, pot_eta1=eta1, pot_eta2=eta2,
                                 pot_raw=None, pot_acts=None)
-    got = engine.pair_terms(model, cloud, xs_new, y, 2, kernel)
+    left, right = engine.pair_terms(model, cloud, xs_new, y, kernel,
+                                    gaussian.suff_stat_rows(xs_prev))
+    got = left @ right.T
 
     log_g = models.log_g_batch(model, xs_new, y)
     want = (models.log_m_cross(model, xs_prev, xs_new, 2) + log_g[:, None]

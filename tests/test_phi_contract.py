@@ -82,7 +82,7 @@ def test_kernel_phi_contract_adds_the_expanded_form(n):
     runner = state.runner
     runner.begin_step(y)
     xi_new = gaussian.sample(runner.current_eta(), rng, n)
-    kernel = engine.build_kernel(runner, state.cloud, xi_new, config)
+    kernel = engine.build_kernel(runner, xi_new)
     u1 = rng.standard_normal((n, D))
     u2 = rng.standard_normal((n, D, D))
     want = expanded_kernel_contract(runner, u1, u2, kernel.pot_raw, kernel.pot_acts)
