@@ -36,10 +36,27 @@ block's weights; the pair bracket h_prev_j + log m(x_j -> x_i) + log g(x_i)
 - log k_i(x_j) of those rows is one more product; and the weights'
 products with the carried g, the sufficient statistics and the model's
 theta rows fill the block's rows of the new statistics.  Everything on
-the previous-particle side is built once per step.  So a step holds at
-most two block-sized arrays, the weights and the bracket, and no N x N
-array; only the categorical draws and ``keep_weights`` assemble the whole
+the previous-particle side is built once per step.  So a step holds
+the weights, the bracket and, for a float32 g, the weights cast to
+float32: block-sized arrays that the runner keeps across steps, and no
+N x N array;
+only the categorical draws and ``keep_weights`` assemble the whole
 weight matrix, block by block.
+
+Precision: the carried phi statistic g is stored, gathered and
+multiplied in ``EngineConfig.g_dtype``, float32 by default.  Everything
+else is float64: h, f, the weights, the pair bracket, the moments, the
+kernel cotangents, the ELBO and both gradient outputs.  The reductions
+that set the estimate's accuracy, the log-sum-exp weights and the final
+mean over particles, stay in float64; the mean of g is taken with a
+float64 accumulator.  Each step a g row is a weighted mean of the
+previous rows plus one increment, both rounded to float32, so
+``grad_phi`` moves by about 1e-7 relative to the float64 path, far below
+its Monte Carlo spread.  In exchange the full route's w @ g_prev, the
+step's largest product, and every g gather move half the bytes; the
+weights are cast to float32 one block at a time for that product.  h
+and f never read g, so the ELBO and ``grad_theta`` do not depend on the
+setting.
 """
 
 from __future__ import annotations
@@ -73,6 +90,7 @@ class EngineConfig:
     log_eps_plus: float = 30.0
     truncation_window: int = 2
     compute_grads: bool = True
+    g_dtype: str = "float32"        # storage of the carried phi statistic: float32 | float64
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -81,6 +99,8 @@ class EngineConfig:
             raise ValueError("m_backward must be >= 1")
         if self.method not in ("full", "categorical", "accept_reject"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.g_dtype not in ("float32", "float64"):
+            raise ValueError(f"unknown g_dtype {self.g_dtype!r}")
         if not self.log_eps_minus < self.log_eps_plus:
             raise BadBounds(f"need log_eps_minus < log_eps_plus, got "
                             f"({self.log_eps_minus}, {self.log_eps_plus})")
@@ -96,7 +116,7 @@ class EngineConfig:
 class ParticleCloud:
     xi: np.ndarray                     # (N, d)
     h_stat: np.ndarray                 # (N,)
-    g_stat: np.ndarray | None          # (N, dim_phi)
+    g_stat: np.ndarray | None          # (N, dim_phi), EngineConfig.g_dtype
     f_stat: np.ndarray | None          # (N, dim_theta)
     log_q_marginal: np.ndarray         # (N,) log q_t(xi_i) under the sampler
     eta: GaussianNatural               # marginal the particles were drawn from
@@ -131,6 +151,25 @@ class EstimatorOutput:
 # ---------------------------------------------------------------------------
 
 
+class WorkArrays:
+    """Step-lived arrays that a runner keeps across steps, one per name.
+
+    ``get`` returns the array kept under ``name`` when its shape and
+    dtype match and replaces it otherwise, so a stream of same-sized
+    steps allocates each one once.  They are scratch space that the next
+    step overwrites: no cloud or output may hold one.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            arr = self._arrays[name] = np.empty(shape, dtype)
+        return arr
+
+
 class AmortizedRunner:
     """Streams the recurrent amortizer and exposes gradient hooks.
 
@@ -150,23 +189,19 @@ class AmortizedRunner:
         self.hist: list[tuple[np.ndarray, np.ndarray]] = []  # (a_before, y) per step
         self.chain_cur: gradients.MarginalChain | None = None
         self.chain_prev: gradients.MarginalChain | None = None
-        self._phi_work: np.ndarray | None = None
+        self.work = WorkArrays()
 
     @property
     def dim_phi(self) -> int:
         return self.layout.total
 
-    def phi_work(self, n: int) -> np.ndarray:
-        """An (n, dim_phi) work array reused across steps; no cloud holds it."""
-        if self._phi_work is None or self._phi_work.shape[0] != n:
-            self._phi_work = np.empty((n, self.dim_phi))
-        return self._phi_work
-
     def set_params(self, params: var.AmortizerParams) -> None:
         self.params = params
 
     def begin_step(self, y_t: np.ndarray) -> None:
-        y_t = np.asarray(y_t, dtype=np.float64)
+        # a copy: the history is re-run next step, after the caller may
+        # have reused its buffer
+        y_t = np.array(y_t, dtype=np.float64)
         self.hist.append((self.a_live.copy(), y_t))
         if len(self.hist) > self.window + 1:
             self.hist.pop(0)
@@ -212,15 +247,18 @@ class AmortizedRunner:
         previous chain's Jacobian widens it into ``out``; the potential
         head's vjp goes into its own column slice.  The callers pass the
         new cloud's g array, so no (n, dim_phi) array is returned fresh.
-        ``out`` defaults to zeros; returns ``out``.
+        ``out`` defaults to float64 zeros; the product runs in its dtype,
+        and so does the work array it is written to first.  Returns ``out``.
         """
-        out = gradients.marginal_cotangent_phi(self.chain_prev, u1, u2, out,
-                                               work=self.phi_work(u1.shape[0]))
+        dtype = np.float64 if out is None else out.dtype
+        work = self.work.get("phi", (u1.shape[0], self.dim_phi), dtype)
+        out = gradients.marginal_cotangent_phi(self.chain_prev, u1, u2, out, work=work)
         raw_cots = var.natural_cotangent_to_raw(pot_raw, u1, u2, self.params.d_x,
                                                 diag_softplus=False)
-        pot_grads = var.mlp.vjp_params_batched(self.params.head_potential,
-                                               None, raw_cots, acts=pot_acts)
         spec = self.layout.by_name["head_potential"]
+        pot_grads = var.mlp.vjp_params_batched(
+            self.params.head_potential, None, raw_cots, acts=pot_acts,
+            out=self.work.get("pot_grads", (u1.shape[0], spec.size)))
         out[:, spec.offset:spec.offset + spec.size] += pot_grads
         return out
 
@@ -250,6 +288,7 @@ class ConjugateRunner:
         self.dim_phi = 0
         self.window = None        # no truncation window to check
         self.chain_cur = None     # no chain for phi-scores
+        self.work = WorkArrays()
 
     def begin_step(self, y_t: np.ndarray) -> None:
         self.t += 1
@@ -271,11 +310,13 @@ class ConjugateRunner:
 
 
 def init_cloud(model, runner, y0: np.ndarray, n: int, rng: np.random.Generator,
-               dim_theta: int | None = None) -> ParticleCloud:
+               dim_theta: int | None = None,
+               g_dtype: str = EngineConfig.g_dtype) -> ParticleCloud:
     """Sample the time-zero cloud and its base statistics.
 
     h_0 = log chi + log g_0 per particle; the phi-statistic starts at
-    exactly zero and the theta-statistic at the gradient of h_0.
+    exactly zero, in ``g_dtype``, and the theta-statistic at the gradient
+    of h_0.
     """
     runner.begin_step(y0)
     eta = runner.current_eta()
@@ -285,7 +326,7 @@ def init_cloud(model, runner, y0: np.ndarray, n: int, rng: np.random.Generator,
     g_stat = None
     f_stat = None
     if runner.compute_grads:
-        g_stat = np.zeros((n, runner.dim_phi))
+        g_stat = np.zeros((n, runner.dim_phi), dtype=g_dtype)
     if dim_theta is not None:
         f_stat = models.grad_theta_init_batch(model, xi, y0)
     cloud = ParticleCloud(xi=xi, h_stat=h, g_stat=g_stat, f_stat=f_stat,
@@ -320,9 +361,10 @@ def build_kernel(runner, xi_new: np.ndarray) -> KernelBatch:
 
 
 def potential_cross(pot_eta1: np.ndarray, pot_eta2: np.ndarray, xs_prev: np.ndarray,
-                    stats: np.ndarray | None = None) -> np.ndarray:
+                    stats: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """<eta~(xi_new_i), T(xs_prev_j)> for all pairs; shape (n_new, n_prev)."""
-    return gaussian.inner_cross(pot_eta1, pot_eta2, xs_prev, stats=stats)
+    return gaussian.inner_cross(pot_eta1, pot_eta2, xs_prev, stats=stats, out=out)
 
 
 def row_blocks(n_new: int, n_prev: int) -> list[slice]:
@@ -333,24 +375,25 @@ def row_blocks(n_new: int, n_prev: int) -> list[slice]:
 
 
 def block_weights(cloud_prev: ParticleCloud, kernel: KernelBatch, config: EngineConfig,
-                  rows: slice, stats_prev: np.ndarray) -> np.ndarray:
+                  rows: slice, stats_prev: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Self-normalized importance weights of the new-particle rows ``rows``.
 
     The unnormalized log-weight of pair (i, j) is
     log q_{t-1|t}(xi_new_i, xi_prev_j) - log q_{t-1}(xi_prev_j); when
     clipping is enabled the clamped potential replaces the kernel ratio
     (they differ by a row constant when no clamp binds).  The block's
-    cross is built here and ``compute_weights`` normalises it in place.
-    ``stats_prev`` holds ``suff_stat_rows`` of the previous particles.
-    Shape (n_rows, N_prev).
+    cross is built here, into ``out`` if given, and ``compute_weights``
+    normalises it in place.  ``stats_prev`` holds ``suff_stat_rows`` of
+    the previous particles.  Shape (n_rows, N_prev).
     """
     if config.clip_enabled:
         cross = potential_cross(kernel.pot_eta1[rows], kernel.pot_eta2[rows],
-                                cloud_prev.xi, stats_prev)
+                                cloud_prev.xi, stats_prev, out=out)
         np.clip(cross, config.log_eps_minus, config.log_eps_plus, out=cross)
     else:
         cross = gaussian.log_density_cross(kernel.eta1[rows], kernel.eta2[rows],
-                                           cloud_prev.xi, stats=stats_prev)
+                                           cloud_prev.xi, stats=stats_prev, out=out)
         cross -= cloud_prev.log_q_marginal
     return compute_weights(cross, rows.start).w
 
@@ -370,7 +413,7 @@ def weight_matrix(cloud_prev: ParticleCloud, kernel: KernelBatch,
     stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
     w = np.empty((kernel.eta1.shape[0], cloud_prev.n))
     for rows in row_blocks(*w.shape):
-        w[rows] = block_weights(cloud_prev, kernel, config, rows, stats_prev)
+        block_weights(cloud_prev, kernel, config, rows, stats_prev, out=w[rows])
     return WeightMatrix(w=w)
 
 
@@ -443,43 +486,53 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
     feature rows (h_prev included), times w, in one product with
     [x_j, vec(x_j x_j'), 1] gives the weighted first and second moments
     that contract the kernel scores, and h_new as its last column;
-    centering the g-bracket by h_new subtracts h_new * (w @ T); w @ g_prev
-    goes straight into the new g's rows; and one product of w with
-    ``models.grad_theta_pair_rows`` (the carried f first) gives the theta
-    side.  The previous-particle rows are built once per step, so at most
-    two block-sized arrays, the weights and the bracket, are live at once.
-    ``kept``, an (N_new, N_prev) array, receives the weights if given.
+    centering the g-bracket by h_new subtracts h_new * (w @ T); w, cast
+    to g's dtype, times g_prev goes straight into the new g's rows; and
+    one product of w with ``models.grad_theta_pair_rows`` (the carried f
+    first) gives the theta side.  The previous-particle rows are built
+    once per step.  The block arrays (the weights, the bracket and the
+    cast weights), the moments and the theta sums are the runner's work
+    arrays, reused across steps; only h, g and f are new.  ``kept``, an
+    (N_new, N_prev) array, receives the weights if given.
     """
     n_new = xi_new.shape[0]
     n_prev, d = cloud_prev.xi.shape
+    work = runner.work
+    blocks = row_blocks(n_new, n_prev)
+    block_shape = (blocks[0].stop, n_prev)
     stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
     left, right = pair_terms(model, cloud_prev, xi_new, y_t, kernel, stats_prev)
-    moments = np.empty((n_new, stats_prev.shape[1]))     # (N_new, d + d*d + 1)
+    moments = work.get("moments", (n_new, stats_prev.shape[1]))   # (N_new, d + d*d + 1)
+    cross = work.get("cross", block_shape)
+    bracket = work.get("bracket", block_shape)
     h_new = np.empty(n_new)
-    g_new = theta_rows = theta_sums = None
+    g_new = w_g = theta_rows = theta_sums = None
     if cloud_prev.g_stat is not None:
-        g_new = np.empty((n_new, cloud_prev.g_stat.shape[1]))
+        g_prev = cloud_prev.g_stat
+        g_new = np.empty((n_new, g_prev.shape[1]), dtype=g_prev.dtype)
+        if g_prev.dtype != np.float64:
+            w_g = work.get("w_g", block_shape, g_prev.dtype)
     if cloud_prev.f_stat is not None:
         theta_rows = models.grad_theta_pair_rows(model, cloud_prev.xi, cloud_prev.f_stat)
-        theta_sums = np.empty((n_new, theta_rows.shape[1]))
+        theta_sums = work.get("theta_sums", (n_new, theta_rows.shape[1]))
 
-    for rows in row_blocks(n_new, n_prev):
-        w = block_weights(cloud_prev, kernel, config, rows, stats_prev)
-        if kept is not None:
-            kept[rows] = w
-        cw = left[rows] @ right.T
+    for rows in blocks:
+        size = rows.stop - rows.start
+        w = block_weights(cloud_prev, kernel, config, rows, stats_prev,
+                          out=cross[:size] if kept is None else kept[rows])
+        cw = np.matmul(left[rows], right.T, out=bracket[:size])
         cw *= w
         block = moments[rows]
         np.matmul(cw, stats_prev, out=block)
-        del cw
         h_new[rows] = block[:, -1]
         if g_new is not None:
             if config.gstat_centered:
                 block -= h_new[rows, None] * (w @ stats_prev)
-            np.matmul(w, cloud_prev.g_stat, out=g_new[rows])
+            if w_g is not None:
+                w_g[:size] = w
+            np.matmul(w if w_g is None else w_g[:size], g_prev, out=g_new[rows])
         if theta_rows is not None:
             np.matmul(w, theta_rows, out=theta_sums[rows])
-    del w                 # the last block's weights; nothing below reads them
 
     if g_new is not None:
         mean, second = gaussian.mean_params_batch(kernel.eta1, kernel.eta2)
@@ -604,7 +657,8 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray, m_draw
     built-in control variate); all three statistics share the draws.
     The carried g and f rows are gathered draw by draw into the new
     cloud's arrays, and the kernel cotangents, contracted over the draws
-    in natural parameters, are widened straight into the new g.
+    in natural parameters, are widened straight into the new g, which
+    has the dtype of the carried one.
     """
     n_new = xi_new.shape[0]
     if method == "categorical":
@@ -639,7 +693,9 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray, m_draw
               - cw.sum(axis=1)[:, None] * mean)
         u2 = (np.einsum("nm,nmd,nme->nde", cw, xs_j, xs_j)
               - cw.sum(axis=1)[:, None, None] * second)
-        g_new = _gather_mean(cloud_prev.g_stat, idx, runner.phi_work(n_new))
+        g_prev = cloud_prev.g_stat
+        g_new = _gather_mean(g_prev, idx,
+                             runner.work.get("phi", (n_new, g_prev.shape[1]), g_prev.dtype))
         runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts, out=g_new)
 
     f_new = None
@@ -689,6 +745,8 @@ def estimate(cloud: ParticleCloud, use_control_variates: bool = True) -> Estimat
     score is T(xi_i) - E[T] pulled back through the one chain, so the
     coefficient-weighted mean of the scores is the pullback of one
     natural-parameter cotangent, and no (N, dim_phi) score rows are built.
+    The mean of g is taken with a float64 accumulator, so ``grad_phi`` is
+    float64 whatever the dtype of g.
     """
     elbo = float(np.mean(cloud.h_stat - cloud.log_q_marginal))
     grad_phi = None
@@ -701,7 +759,7 @@ def estimate(cloud: ParticleCloud, use_control_variates: bool = True) -> Estimat
         mean, second = gaussian.mean_params_batch(chain.eta1[None], chain.eta2[None])
         u1 = (c @ cloud.xi)[None] - mass * mean
         u2 = ((cloud.xi.T * c) @ cloud.xi)[None] - mass * second
-        grad_phi = cloud.g_stat.mean(axis=0)
+        grad_phi = cloud.g_stat.mean(axis=0, dtype=np.float64)
         gradients.marginal_cotangent_phi(chain, u1, u2, out=grad_phi[None])
     if cloud.f_stat is not None:
         grad_theta = cloud.f_stat.mean(axis=0)
@@ -731,7 +789,7 @@ def init_state(model, runner, y0: np.ndarray, config: EngineConfig,
             f"{config.truncation_window}")
     dim_theta = models.theta_layout(model).total if config.compute_grads else None
     cloud = init_cloud(model, runner, y0, config.n_particles, rng,
-                       dim_theta=dim_theta)
+                       dim_theta=dim_theta, g_dtype=config.g_dtype)
     return EngineState(cloud=cloud, runner=runner, t=0)
 
 

@@ -315,14 +315,16 @@ def marginal_cotangent_phi(chain: MarginalChain, u1: np.ndarray, u2: np.ndarray,
 
     u1 (n, d) and u2 (n, d, d) are gradients w.r.t. the chain's natural
     parameters; one product [u1, vec u2] @ nat_jac widens them to phi.
-    ``out`` (n, dim_phi) defaults to zeros; ``work``, if given, is an
-    (n, dim_phi) array the product is written to first.  Returns ``out``.
+    ``out`` (n, dim_phi) defaults to float64 zeros; the product runs in
+    its dtype, both small factors cast to it.  ``work``, if given, is an
+    (n, dim_phi) array of that dtype the product is written to first.
+    Returns ``out``.
     """
     if chain.nat_jac is None:
         raise ValueError("chain was built without a Jacobian")
     n = u1.shape[0]
     if out is None:
         out = np.zeros((n, chain.nat_jac.shape[1]))
-    cot = np.concatenate([u1, u2.reshape(n, -1)], axis=1)
-    out += np.matmul(cot, chain.nat_jac, out=work)
+    cot = np.concatenate([u1, u2.reshape(n, -1)], axis=1, dtype=out.dtype)
+    out += np.matmul(cot, chain.nat_jac.astype(out.dtype, copy=False), out=work)
     return out

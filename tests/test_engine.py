@@ -114,10 +114,27 @@ def run_engine(model, runner, ys, config, seed, keep=False):
     return state, outs, clouds
 
 
+# float32 storage of g: rtol 1e-5, with an absolute floor at 1e-5 of the
+# largest entry for entries that cancel to near zero
+F32_RTOL = 1e-5
+
+
+def g32_tol(want):
+    return dict(rtol=F32_RTOL, atol=F32_RTOL * np.abs(want).max())
+
+
 class TestEngineAgainstReferencePath:
     """Full manual replication of the recursion with tape gradients."""
 
     def test_full_update_matches_pair_by_pair_reference(self):
+        self.check_full_update("float64", lambda want: dict(rtol=1e-8, atol=1e-9))
+
+    def test_full_update_matches_pair_by_pair_reference_float32(self):
+        self.check_full_update("float32", g32_tol)
+
+    def check_full_update(self, g_dtype, g_tol):
+        """The engine's h, g, f and outputs against the reference; ``g_tol``
+        gives the tolerances of g and ``grad_phi`` from the wanted array."""
         rng = np.random.default_rng(10)
         d, window, n = 1, 2, 3
         m = make_lgssm(rng, d)
@@ -125,7 +142,7 @@ class TestEngineAgainstReferencePath:
         params = runner.params
         ys = [np.array([0.4]), np.array([-0.2]), np.array([0.8]), np.array([0.1])]
         cfg = engine.EngineConfig(n_particles=n, method="full", cv_grad_phi=False,
-                                  truncation_window=window)
+                                  truncation_window=window, g_dtype=g_dtype)
         state, outs, clouds = run_engine(m, runner, ys, cfg, seed=123)
 
         # manual reference: replicate the history bookkeeping
@@ -183,12 +200,14 @@ class TestEngineAgainstReferencePath:
             log_q_prev = np.array([gaussian.log_density(eta_cur, x) for x in xi])
             np.testing.assert_allclose(clouds[t].h_stat, h_ref, rtol=1e-9, atol=1e-10)
             np.testing.assert_allclose(clouds[t].f_stat, f_ref, rtol=1e-9, atol=1e-10)
-            np.testing.assert_allclose(clouds[t].g_stat, g_ref, rtol=1e-8, atol=1e-9)
+            assert clouds[t].g_stat.dtype == g_dtype
+            np.testing.assert_allclose(clouds[t].g_stat, g_ref, **g_tol(g_ref))
             # estimator pieces
             scores = np.stack([gradients.grad_phi_log_marginal(
                 params, bound_cur, ys_cur, x, req) for x in xi])
             want_phi = (scores * h_ref[:, None] + g_ref).mean(axis=0)
-            np.testing.assert_allclose(outs[t].grad_phi, want_phi, rtol=1e-8, atol=1e-9)
+            assert outs[t].grad_phi.dtype == np.float64
+            np.testing.assert_allclose(outs[t].grad_phi, want_phi, **g_tol(want_phi))
             want_elbo = float(np.mean(h_ref - log_q_prev))
             assert outs[t].elbo == pytest.approx(want_elbo, abs=1e-9)
 
@@ -410,3 +429,24 @@ class TestStep:
         cfg = engine.EngineConfig(n_particles=3, truncation_window=5, compute_grads=False)
         state = engine.init_state(m, runner, ys[0], cfg, rng)
         assert state.t == 0
+
+    @pytest.mark.parametrize("method", ["full", "accept_reject"])
+    def test_reused_observation_buffer_gives_the_same_stream(self, method):
+        # the runner re-runs its window over past observations, so it must
+        # keep copies, not views of a buffer the caller overwrites
+        m = make_lgssm(np.random.default_rng(5), d=2)
+        ys = np.random.default_rng(6).standard_normal((11, 2))
+        cfg = engine.EngineConfig(n_particles=8, method=method,
+                                  clip_enabled=method == "accept_reject")
+        _, direct, _ = run_engine(m, make_runner(np.random.default_rng(7), 2, 2), ys, cfg,
+                                  seed=8)
+        rng = np.random.default_rng(8)
+        buf = ys[0].copy()
+        state = engine.init_state(m, make_runner(np.random.default_rng(7), 2, 2), buf, cfg,
+                                  rng)
+        for t in range(1, len(ys)):
+            buf[:] = ys[t]
+            state, out = engine.step(state, buf, m, cfg, rng)
+            assert out.elbo == direct[t].elbo, t
+            np.testing.assert_array_equal(out.grad_phi, direct[t].grad_phi)
+            np.testing.assert_array_equal(out.grad_theta, direct[t].grad_theta)

@@ -132,14 +132,21 @@ def assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
-def check_update_statistics(make_model, n_prev, n_new, center, clip):
+def assert_close_f32(got, want):
+    # g stored in float32: rtol 1e-5, with an absolute floor at 1e-5 of the
+    # array's largest entry
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+
+def check_update_statistics(make_model, n_prev, n_new, center, clip, g_dtype="float64"):
     rng = np.random.default_rng(50 + n_prev + 10 * n_new)
     model = make_model(rng)
     params = var.init_amortizer(rng, D, D, hidden=5, head_hidden=(5,), pot_hidden=(5,),
                                 scale=0.6)
     runner = engine.AmortizedRunner(params, window=2)
     ys = rng.standard_normal((3, D))
-    config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center)
+    config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,
+                                 g_dtype=g_dtype)
     # one engine step first, so the carried g and f statistics are non-zero
     state = engine.init_state(model, runner, ys[0], config, rng)
     state, _ = engine.step(state, ys[1], model, config, rng)
@@ -156,7 +163,7 @@ def check_update_statistics(make_model, n_prev, n_new, center, clip):
         bounds = (lo, hi) if lo < hi else (lo - 1.0, lo + 1.0)
         config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,
                                      clip_enabled=True, log_eps_minus=bounds[0],
-                                     log_eps_plus=bounds[1])
+                                     log_eps_plus=bounds[1], g_dtype=g_dtype)
     kernel = engine.build_kernel(runner, xi_new)
     got = engine.update_statistics(cloud, xi_new, model, runner, ys[2], 2, kernel,
                                    log_q_new, config)
@@ -166,7 +173,8 @@ def check_update_statistics(make_model, n_prev, n_new, center, clip):
     # a centered bracket over one previous particle is zero, so g stays zero
     assert (np.abs(cloud.g_stat).max() > 0.0) != (center and n_prev == 1)
     assert_close(got.h_stat, h_ref)
-    assert_close(got.g_stat, g_ref)
+    assert got.g_stat.dtype == g_dtype
+    (assert_close if g_dtype == "float64" else assert_close_f32)(got.g_stat, g_ref)
     assert_close(got.f_stat, f_ref)
 
 
@@ -183,6 +191,16 @@ def test_update_statistics_matches_direct_forms(make_model, n_prev, n_new, cente
 def test_clipped_update_statistics_matches_direct_forms(make_model, n_prev, n_new, center):
     # weights from the clamped potentials, the bracket from the kernel log-density
     check_update_statistics(make_model, n_prev, n_new, center, clip=True)
+
+
+@pytest.mark.parametrize("make_model", [make_lgssm, make_residual], ids=["lgssm", "residual"])
+@pytest.mark.parametrize("n_prev,n_new", [(6, 4), (3, 5), (1, 1)])
+@pytest.mark.parametrize("center", [False, True], ids=["plain", "centered"])
+@pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clipped"])
+def test_float32_update_statistics_matches_direct_forms(make_model, n_prev, n_new, center,
+                                                        clip):
+    # h and f at the float64 tolerance; g, carried in float32, at its own
+    check_update_statistics(make_model, n_prev, n_new, center, clip, g_dtype="float32")
 
 
 def test_chaotic_pair_contract_matches_direct_form():

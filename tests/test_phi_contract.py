@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from streamvi import engine, gaussian, gradients, models, variational as var
+from streamvi import engine, gaussian, gradients, models, oracle, variational as var
 from streamvi.errors import NonFiniteStatistic
 
 D = 2
@@ -21,13 +21,14 @@ def make_model():
     return models.LinearGaussianSSM(F=0.7 * np.eye(D), G=np.eye(D), q_var=0.1, r_var=0.25)
 
 
-def make_run(n, method="full", seed=0, hidden=5, steps=2, clip=False):
+def make_run(n, method="full", seed=0, hidden=5, steps=2, clip=False, g_dtype="float32"):
     """An engine state after ``steps`` steps, so g and f are non-zero."""
     rng = np.random.default_rng(seed)
     params = var.init_amortizer(rng, D, D, hidden=hidden, head_hidden=(hidden,),
                                 pot_hidden=(hidden,), scale=0.6)
     runner = engine.AmortizedRunner(params, window=2)
-    config = engine.EngineConfig(n_particles=n, method=method, clip_enabled=clip)
+    config = engine.EngineConfig(n_particles=n, method=method, clip_enabled=clip,
+                                 g_dtype=g_dtype)
     model = make_model()
     ys = rng.standard_normal((steps + 2, D))
     state = engine.init_state(model, runner, ys[0], config, rng)
@@ -76,9 +77,10 @@ def expanded_kernel_contract(runner, u1, u2, pot_raw, pot_acts):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 6])
-def test_kernel_phi_contract_adds_the_expanded_form(n):
-    state, _, config, rng, y = make_run(n, seed=20 + n)
+def kernel_contract_case(n, g_dtype):
+    """The arguments of ``kernel_phi_contract``, its expanded form and a
+    float64 g to add it to."""
+    state, _, config, rng, y = make_run(n, seed=20 + n, g_dtype=g_dtype)
     runner = state.runner
     runner.begin_step(y)
     xi_new = gaussian.sample(runner.current_eta(), rng, n)
@@ -87,11 +89,31 @@ def test_kernel_phi_contract_adds_the_expanded_form(n):
     u2 = rng.standard_normal((n, D, D))
     want = expanded_kernel_contract(runner, u1, u2, kernel.pot_raw, kernel.pot_acts)
     g = rng.standard_normal((n, runner.dim_phi))
+    return runner, (u1, u2, kernel.pot_raw, kernel.pot_acts), want, g
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_kernel_phi_contract_adds_the_expanded_form(n):
+    runner, args, want, g = kernel_contract_case(n, "float64")
     got = g.copy()
-    args = (u1, u2, kernel.pot_raw, kernel.pot_acts)
     assert runner.kernel_phi_contract(*args, out=got) is got
     assert_close(got, g + want)
     assert_close(runner.kernel_phi_contract(*args), want)
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_kernel_phi_contract_runs_in_the_dtype_of_out(n):
+    runner, args, want, g = kernel_contract_case(n, "float32")
+    got = g.astype(np.float32)
+    assert runner.kernel_phi_contract(*args, out=got) is got
+    assert got.dtype == np.float32
+    # float32 rounding: rtol 1e-5, with an absolute floor at 1e-5 of the largest entry
+    expect = g.astype(np.float32).astype(np.float64) + want
+    np.testing.assert_allclose(got, expect, rtol=1e-5, atol=1e-5 * np.abs(expect).max())
+    # without ``out`` the result is float64, whatever the work array held before
+    fresh = runner.kernel_phi_contract(*args)
+    assert fresh.dtype == np.float64
+    assert_close(fresh, want)
 
 
 # ---------------------------------------------------------------------------
@@ -121,24 +143,58 @@ def cloud_arrays(cloud):
     chain = cloud.chain
     arrays = {"xi": cloud.xi, "h": cloud.h_stat, "g": cloud.g_stat, "f": cloud.f_stat,
               "log_q": cloud.log_q_marginal, "eta1": cloud.eta.eta1, "eta2": cloud.eta.eta2}
-    for name in ("a_boundary", "a_t", "raw", "eta1", "eta2", "jac", "nat_jac"):
-        arrays["chain." + name] = getattr(chain, name)
+    if chain is not None:
+        for name in ("a_boundary", "a_t", "raw", "eta1", "eta2", "jac", "nat_jac"):
+            arrays["chain." + name] = getattr(chain, name)
     return arrays
+
+
+# the runner's work arrays that each route uses, by name
+WORK_ARRAYS = {"full": {"phi", "pot_grads", "cross", "bracket", "w_g", "moments",
+                        "theta_sums"},
+               "categorical": {"phi", "pot_grads"}, "accept_reject": {"phi", "pot_grads"}}
+
+
+def assert_no_work_array(runner, clouds, outs=()):
+    """No array of a cloud or an output shares memory with a work array."""
+    held = [(f"cloud {i} {name}", arr) for i, cloud in enumerate(clouds)
+            for name, arr in cloud_arrays(cloud).items() if arr is not None]
+    held += [(f"output {i} {name}", getattr(out, name)) for i, out in enumerate(outs)
+             for name in ("grad_phi", "grad_theta")]
+    for key, work in runner.work._arrays.items():
+        for name, arr in held:
+            assert not np.shares_memory(arr, work), (name, key)
 
 
 @pytest.mark.parametrize("method", ["full", "categorical", "accept_reject"])
 def test_step_leaves_previous_cloud_unchanged(method):
-    # three steps before, so the runner's work array exists and has been written
+    # three steps before, so the runner's work arrays exist and have been written
     state, model, config, rng, y = make_run(6, method=method, seed=40, steps=3,
                                             clip=method == "accept_reject")
     before = {k: v.copy() for k, v in cloud_arrays(state.cloud).items()}
-    new_state, _ = engine.step(state, y, model, config, rng)
+    new_state, out = engine.step(state, y, model, config, rng)
     for name, arr in cloud_arrays(state.cloud).items():
         np.testing.assert_array_equal(arr, before[name], err_msg=name)
-    work = state.runner._phi_work
-    for cloud in (state.cloud, new_state.cloud):
-        for arr in (cloud.g_stat, cloud.f_stat):
-            assert not np.shares_memory(arr, work)
+    assert set(state.runner.work._arrays) == WORK_ARRAYS[method]
+    assert_no_work_array(state.runner, [state.cloud, new_state.cloud], [out])
+
+
+def test_conjugate_full_step_holds_no_work_array():
+    # the conjugate runner takes the full route with theta-gradients only
+    model = make_model()
+    rng = np.random.default_rng(41)
+    ys = rng.standard_normal((5, D))
+    family = var.exact_conjugate_mode(model, oracle.kalman_filter(model, ys))
+    runner = engine.ConjugateRunner(family)
+    config = engine.EngineConfig(n_particles=6, method="full")
+    state = engine.init_state(model, runner, ys[0], config, rng)
+    clouds, outs = [state.cloud], []
+    for t in range(1, len(ys)):
+        state, out = engine.step(state, ys[t], model, config, rng)
+        clouds.append(state.cloud)
+        outs.append(out)
+    assert set(runner.work._arrays) == {"cross", "bracket", "moments", "theta_sums"}
+    assert_no_work_array(runner, clouds, outs)
 
 
 # ---------------------------------------------------------------------------
