@@ -255,10 +255,9 @@ class AmortizedRunner:
         out = gradients.marginal_cotangent_phi(self.chain_prev, u1, u2, out, work=work)
         raw_cots = var.natural_cotangent_to_raw(pot_raw, u1, u2, self.params.d_x,
                                                 diag_softplus=False)
+        pot_grads = var.mlp.vjp_params_batched(self.params.head_potential,
+                                               None, raw_cots, acts=pot_acts)
         spec = self.layout.by_name["head_potential"]
-        pot_grads = var.mlp.vjp_params_batched(
-            self.params.head_potential, None, raw_cots, acts=pot_acts,
-            out=self.work.get("pot_grads", (u1.shape[0], spec.size)))
         out[:, spec.offset:spec.offset + spec.size] += pot_grads
         return out
 
@@ -309,15 +308,15 @@ class ConjugateRunner:
 # ---------------------------------------------------------------------------
 
 
-def init_cloud(model, runner, y0: np.ndarray, n: int, rng: np.random.Generator,
-               dim_theta: int | None = None,
-               g_dtype: str = EngineConfig.g_dtype) -> ParticleCloud:
-    """Sample the time-zero cloud and its base statistics.
+def init_cloud(model, runner, y0: np.ndarray, config: EngineConfig,
+               rng: np.random.Generator, dim_theta: int | None = None) -> ParticleCloud:
+    """Sample the time-zero cloud of ``config.n_particles`` and its base statistics.
 
     h_0 = log chi + log g_0 per particle; the phi-statistic starts at
-    exactly zero, in ``g_dtype``, and the theta-statistic at the gradient
-    of h_0.
+    exactly zero, in ``config.g_dtype``, and the theta-statistic at the
+    gradient of h_0.
     """
+    n = config.n_particles
     runner.begin_step(y0)
     eta = runner.current_eta()
     xi = gaussian.sample(eta, rng, n)
@@ -326,7 +325,7 @@ def init_cloud(model, runner, y0: np.ndarray, n: int, rng: np.random.Generator,
     g_stat = None
     f_stat = None
     if runner.compute_grads:
-        g_stat = np.zeros((n, runner.dim_phi), dtype=g_dtype)
+        g_stat = np.zeros((n, runner.dim_phi), dtype=config.g_dtype)
     if dim_theta is not None:
         f_stat = models.grad_theta_init_batch(model, xi, y0)
     cloud = ParticleCloud(xi=xi, h_stat=h, g_stat=g_stat, f_stat=f_stat,
@@ -788,8 +787,7 @@ def init_state(model, runner, y0: np.ndarray, config: EngineConfig,
             f"runner window {runner.window} != EngineConfig.truncation_window "
             f"{config.truncation_window}")
     dim_theta = models.theta_layout(model).total if config.compute_grads else None
-    cloud = init_cloud(model, runner, y0, config.n_particles, rng,
-                       dim_theta=dim_theta, g_dtype=config.g_dtype)
+    cloud = init_cloud(model, runner, y0, config, rng, dim_theta=dim_theta)
     return EngineState(cloud=cloud, runner=runner, t=0)
 
 

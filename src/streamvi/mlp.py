@@ -116,33 +116,24 @@ def vjp_params(params: MLPParams, x: np.ndarray, cot: np.ndarray,
 
 
 def vjp_params_batched(params: MLPParams, xs: np.ndarray | None, cots: np.ndarray,
-                       acts=None, out: np.ndarray | None = None) -> np.ndarray:
+                       acts=None) -> np.ndarray:
     """Per-sample parameter gradients; xs (n, in), cots (n, out) -> (n, n_params).
 
-    xs may be None when cached activations are supplied.  Each layer's
-    gradients are written straight into their columns of ``out``, a fresh
-    array unless given.
+    xs may be None when cached activations are supplied.
     """
     if acts is None:
         _, acts = forward_cached(params, xs)
     n = cots.shape[0]
-    if out is None:
-        out = np.empty((n, params.n_params))
+    grads = [None] * len(params.layers)
     delta = np.asarray(cots, dtype=np.float64)
-    stop = out.shape[1]
     for i in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[i]
-        n_out, n_in = w.shape
-        start = stop - n_out * n_in - n_out
-        # the weight gradients delta_o a_i, then the bias gradients delta; the
-        # reshape is a view, as each row's columns are contiguous
-        np.multiply(delta[:, :, None], acts[i][:, None, :],
-                    out=out[:, start:stop - n_out].reshape(n, n_out, n_in))
-        out[:, stop - n_out:stop] = delta
-        stop = start
+        a_in = acts[i]
+        gw = np.einsum("no,ni->noi", delta, a_in)
+        grads[i] = (gw.reshape(n, -1), delta)
         if i > 0:
             delta = (delta @ w) * _act_deriv_from_out(acts[i], params.activation)
-    return out
+    return np.concatenate([np.concatenate([gw, gb], axis=1) for gw, gb in grads], axis=1)
 
 
 def vjp_params_cross_rows(params: MLPParams, xs: np.ndarray | None, b: np.ndarray,
@@ -157,12 +148,10 @@ def vjp_params_cross_rows(params: MLPParams, xs: np.ndarray | None, b: np.ndarra
     if acts is None:
         _, acts = forward_cached(params, xs)
     m, out = b.shape
-    size = params.n_params
-    rows = np.empty((m, (out + 1) * size))
-    cots = [np.broadcast_to(e, (m, out)) for e in np.eye(out)] + [b]
-    for k, cot in enumerate(cots):
-        vjp_params_batched(params, None, cot, acts=acts, out=rows[:, k * size:(k + 1) * size])
-    return rows
+    per_sample = [vjp_params_batched(params, None, np.broadcast_to(e, (m, out)), acts=acts)
+                  for e in np.eye(out)]
+    per_sample.append(vjp_params_batched(params, None, b, acts=acts))
+    return np.concatenate(per_sample, axis=1)
 
 
 def vjp_params_cross_finish(a: np.ndarray, sums: np.ndarray) -> np.ndarray:

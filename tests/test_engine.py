@@ -25,7 +25,8 @@ class TestInitCloud:
         rng = np.random.default_rng(0)
         m = make_lgssm(rng)
         runner = make_runner(rng)
-        cloud = engine.init_cloud(m, runner, np.array([0.3]), 5, rng, dim_theta=2)
+        cloud = engine.init_cloud(m, runner, np.array([0.3]), engine.EngineConfig(n_particles=5),
+                                  rng, dim_theta=2)
         np.testing.assert_array_equal(cloud.g_stat, 0.0)
 
     def test_h0_hand_value(self):
@@ -33,7 +34,8 @@ class TestInitCloud:
         m = make_lgssm(rng)
         runner = make_runner(rng)
         y0 = np.array([0.3])
-        cloud = engine.init_cloud(m, runner, y0, 4, rng, dim_theta=2)
+        cloud = engine.init_cloud(m, runner, y0, engine.EngineConfig(n_particles=4), rng,
+                                  dim_theta=2)
         for i in range(4):
             x = cloud.xi[i]
             want = (models.log_m(m, None, x, 0) + models.log_g(m, x, y0, 0))
@@ -44,8 +46,9 @@ class TestInitCloud:
         m = make_lgssm(np.random.default_rng(3))
         r1 = make_runner(np.random.default_rng(4))
         r2 = make_runner(np.random.default_rng(4))
-        c1 = engine.init_cloud(m, r1, np.array([0.1]), 6, rng1, dim_theta=2)
-        c2 = engine.init_cloud(m, r2, np.array([0.1]), 6, rng2, dim_theta=2)
+        cfg = engine.EngineConfig(n_particles=6)
+        c1 = engine.init_cloud(m, r1, np.array([0.1]), cfg, rng1, dim_theta=2)
+        c2 = engine.init_cloud(m, r2, np.array([0.1]), cfg, rng2, dim_theta=2)
         np.testing.assert_array_equal(c1.xi, c2.xi)
         c1.validate()
 
@@ -61,7 +64,7 @@ class TestComputeWeights:
                 head_potential=p.head_potential.unpack(
                     np.zeros(p.head_potential.n_params)), d_x=p.d_x))
         cfg = engine.EngineConfig(n_particles=n_prev, compute_grads=False)
-        cloud = engine.init_cloud(m, runner, np.array([0.2]), n_prev, rng)
+        cloud = engine.init_cloud(m, runner, np.array([0.2]), cfg, rng)
         runner.begin_step(np.array([-0.1]))
         xi_new = gaussian.sample(runner.current_eta(), rng, n_new)
         kernel = engine.build_kernel(runner, xi_new)
@@ -275,7 +278,7 @@ class TestBackwardSampling:
         m = make_lgssm(rng)
         runner = make_runner(rng)
         cfg = engine.EngineConfig(n_particles=n, compute_grads=False)
-        cloud = engine.init_cloud(m, runner, np.array([0.2]), n, rng)
+        cloud = engine.init_cloud(m, runner, np.array([0.2]), cfg, rng)
         runner.begin_step(np.array([0.5]))
         xi_new = gaussian.sample(runner.current_eta(), rng, n)
         log_q_new = gaussian.log_density_cross(
@@ -352,7 +355,8 @@ class TestEstimate:
         rng = np.random.default_rng(21)
         m = make_lgssm(rng)
         runner = make_runner(rng)
-        cloud = engine.init_cloud(m, runner, np.array([0.3]), 1, rng, dim_theta=2)
+        cloud = engine.init_cloud(m, runner, np.array([0.3]), engine.EngineConfig(n_particles=1),
+                                  rng, dim_theta=2)
         out = engine.estimate(cloud, use_control_variates=False)
         assert out.elbo == pytest.approx(
             float(cloud.h_stat[0] - cloud.log_q_marginal[0]), abs=1e-12)

@@ -21,7 +21,7 @@ def make_model():
     return models.LinearGaussianSSM(F=0.7 * np.eye(D), G=np.eye(D), q_var=0.1, r_var=0.25)
 
 
-def make_run(n, method="full", seed=0, hidden=5, steps=2, clip=False, g_dtype="float32"):
+def make_run(n, method="full", seed=0, hidden=5, steps=2, clip=False, g_dtype="float64"):
     """An engine state after ``steps`` steps, so g and f are non-zero."""
     rng = np.random.default_rng(seed)
     params = var.init_amortizer(rng, D, D, hidden=hidden, head_hidden=(hidden,),
@@ -149,10 +149,10 @@ def cloud_arrays(cloud):
     return arrays
 
 
-# the runner's work arrays that each route uses, by name
-WORK_ARRAYS = {"full": {"phi", "pot_grads", "cross", "bracket", "w_g", "moments",
-                        "theta_sums"},
-               "categorical": {"phi", "pot_grads"}, "accept_reject": {"phi", "pot_grads"}}
+# the runner's work arrays that each route uses, by name; the full route
+# adds "w_g", the weights cast to g's dtype, when g is float32
+WORK_ARRAYS = {"full": {"phi", "cross", "bracket", "moments", "theta_sums"},
+               "categorical": {"phi"}, "accept_reject": {"phi"}}
 
 
 def assert_no_work_array(runner, clouds, outs=()):
@@ -168,14 +168,24 @@ def assert_no_work_array(runner, clouds, outs=()):
 
 @pytest.mark.parametrize("method", ["full", "categorical", "accept_reject"])
 def test_step_leaves_previous_cloud_unchanged(method):
+    check_step_leaves_previous_cloud_unchanged(method, "float64")
+
+
+@pytest.mark.parametrize("method", ["full", "categorical", "accept_reject"])
+def test_step_leaves_previous_cloud_unchanged_float32(method):
+    check_step_leaves_previous_cloud_unchanged(method, "float32")
+
+
+def check_step_leaves_previous_cloud_unchanged(method, g_dtype):
     # three steps before, so the runner's work arrays exist and have been written
     state, model, config, rng, y = make_run(6, method=method, seed=40, steps=3,
-                                            clip=method == "accept_reject")
+                                            clip=method == "accept_reject", g_dtype=g_dtype)
     before = {k: v.copy() for k, v in cloud_arrays(state.cloud).items()}
     new_state, out = engine.step(state, y, model, config, rng)
     for name, arr in cloud_arrays(state.cloud).items():
         np.testing.assert_array_equal(arr, before[name], err_msg=name)
-    assert set(state.runner.work._arrays) == WORK_ARRAYS[method]
+    cast = {"w_g"} if method == "full" and g_dtype == "float32" else set()
+    assert set(state.runner.work._arrays) == WORK_ARRAYS[method] | cast
     assert_no_work_array(state.runner, [state.cloud, new_state.cloud], [out])
 
 
@@ -216,10 +226,19 @@ def peak_units(fn, unit_bytes):
 
 
 def test_estimate_and_sampled_step_allocate_few_phi_arrays():
+    check_estimate_and_sampled_step_allocate_few_phi_arrays("float64")
+
+
+def test_estimate_and_sampled_step_allocate_few_phi_arrays_float32():
+    check_estimate_and_sampled_step_allocate_few_phi_arrays("float32")
+
+
+def check_estimate_and_sampled_step_allocate_few_phi_arrays(g_dtype):
     n = 500
     state, model, config, rng, y = make_run(n, method="accept_reject", seed=50, hidden=16,
-                                            steps=3, clip=True)
-    unit = n * state.runner.dim_phi * 8
+                                            steps=3, clip=True, g_dtype=g_dtype)
+    # an (N, dim_phi) array of g's dtype
+    unit = n * state.runner.dim_phi * state.cloud.g_stat.itemsize
     # the expanded forms build (N, dim_phi) scores, products and sums
     assert peak_units(lambda: engine.estimate(state.cloud), unit) <= 0.25
     # the kept g array and small transients; the expanded forms add an

@@ -51,13 +51,14 @@ def block_rows(rows, n_prev):
         engine.ROW_BLOCK_BYTES = saved
 
 
-def update_pieces(kind, n_prev, n_new, clip, center, seed):
+def update_pieces(kind, n_prev, n_new, clip, center, seed, g_dtype="float64"):
     """A cloud with non-zero carried g and f, and the next step's inputs."""
     rng = np.random.default_rng(seed)
     model = make_model(kind, rng)
     runner = make_runner(rng)
     ys = rng.standard_normal((3, D))
-    config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center)
+    config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,
+                                 g_dtype=g_dtype)
     state = engine.init_state(model, runner, ys[0], config, rng)
     state, _ = engine.step(state, ys[1], model, config, rng)
     runner.begin_step(ys[2])
@@ -71,7 +72,8 @@ def update_pieces(kind, n_prev, n_new, clip, center, seed):
         lo, hi = np.quantile(pot, [0.25, 0.75])
         lo, hi = (lo, hi) if lo < hi else (lo - 1.0, lo + 1.0)
         config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,
-                                     clip_enabled=True, log_eps_minus=lo, log_eps_plus=hi)
+                                     clip_enabled=True, log_eps_minus=lo, log_eps_plus=hi,
+                                     g_dtype=g_dtype)
     return model, runner, state.cloud, xi_new, ys[2], kernel, log_q_new, config
 
 
@@ -91,19 +93,41 @@ def assert_same(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-@settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(KINDS), n_prev=st.integers(1, 9), n_new=st.integers(1, 9),
-       clip=st.booleans(), center=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_blocked_update_equals_one_block(kind, n_prev, n_new, clip, center, seed):
-    pieces = update_pieces(kind, n_prev, n_new, clip, center, seed)
+def assert_same_f32(got, want):
+    # a float32 g: rtol 1e-5, with an absolute floor at 1e-5 of the array's largest entry
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+
+def check_blocked_update_equals_one_block(pieces, assert_g):
+    n_new = pieces[3].shape[0]
     whole, w_whole = blocked_update(pieces, n_new)
     np.testing.assert_allclose(w_whole.sum(axis=1), 1.0, rtol=1e-12)
     sizes = [1] + [k for k in range(2, n_new) if n_new % k][:1]
     for rows in sizes:
         got, w_got = blocked_update(pieces, rows)
         assert_same(w_got, w_whole)
-        for name in ("h_stat", "g_stat", "f_stat"):
+        for name in ("h_stat", "f_stat"):
             assert_same(getattr(got, name), getattr(whole, name))
+        assert got.g_stat.dtype == whole.g_stat.dtype == pieces[2].g_stat.dtype
+        assert_g(got.g_stat, whole.g_stat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), n_prev=st.integers(1, 9), n_new=st.integers(1, 9),
+       clip=st.booleans(), center=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_update_equals_one_block(kind, n_prev, n_new, clip, center, seed):
+    pieces = update_pieces(kind, n_prev, n_new, clip, center, seed)
+    check_blocked_update_equals_one_block(pieces, assert_same)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), n_prev=st.integers(1, 9), n_new=st.integers(1, 9),
+       clip=st.booleans(), center=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_update_equals_one_block_float32(kind, n_prev, n_new, clip, center, seed):
+    # a one-row block multiplies the float32 g by a matrix-vector product, the
+    # whole block by a matrix product; h and f never read g
+    pieces = update_pieces(kind, n_prev, n_new, clip, center, seed, g_dtype="float32")
+    check_blocked_update_equals_one_block(pieces, assert_same_f32)
 
 
 @pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
@@ -121,7 +145,7 @@ def run_full(keep, steps=4, n=7):
     model = make_model("residual", rng)
     runner = make_runner(rng)
     ys = rng.standard_normal((steps + 1, D))
-    config = engine.EngineConfig(n_particles=n, method="full")
+    config = engine.EngineConfig(n_particles=n, method="full", g_dtype="float64")
     state = engine.init_state(model, runner, ys[0], config, rng)
     outs = []
     with block_rows(3, n):
@@ -145,12 +169,20 @@ def test_keep_weights_leaves_the_full_route_bitwise_unchanged():
 
 
 def test_blocked_full_step_holds_no_dense_array():
+    check_blocked_full_step_holds_no_dense_array("float64")
+
+
+def test_blocked_full_step_holds_no_dense_array_float32():
+    check_blocked_full_step_holds_no_dense_array("float32")
+
+
+def check_blocked_full_step_holds_no_dense_array(g_dtype):
     n = 1200
     rng = np.random.default_rng(12)
     model = make_model("lgssm", rng)
     runner = make_runner(rng)
     ys = rng.standard_normal((3, D))
-    config = engine.EngineConfig(n_particles=n, method="full")
+    config = engine.EngineConfig(n_particles=n, method="full", g_dtype=g_dtype)
     state = engine.init_state(model, runner, ys[0], config, rng)
     with block_rows(n // 16, n):
         state, _ = engine.step(state, ys[1], model, config, rng)  # fills the work arrays
