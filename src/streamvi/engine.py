@@ -8,18 +8,22 @@ previous particles, with weights proportional (within each row) to the
 backward-kernel density over the previous proposal density, or, with
 clipping on, to the clamped potential.
 
-Two update routes:
+One statistic update serves both routes; they differ only in the
+weights W_ij of new particle i over the previous particles j:
 
-- full weights: the exact N x N weighted sums, O(N^2) per step;
-- backward sampling: each row's weighted sum replaced by an average over
-  M index draws (shared across the three statistics), with the g-bracket
-  centered by the freshly computed h statistic.  Indices come either
-  from the explicit categorical rows, which needs the N x N weights, or
-  by accept-reject: uniform proposals accepted against a per-row upper
+- full weights: W dense, the exact N x N weights, O(N^2) per step;
+- backward sampling: W sparse, 1/M at (i, idx_im) for M index draws per
+  row shared by the three statistics, with the g-bracket centered by the
+  freshly computed h statistic by default.  Indices come either from the
+  explicit categorical rows, which needs the N x N weights, or by
+  accept-reject: uniform proposals accepted against a per-row upper
   bound on the clamped potential, with a draw still pending after N
   proposals drawn exactly from its row.  Accept-reject costs O(N M)
   proposals per step when the bound is tight, and at worst N proposals
   plus one exact row per draw.
+
+Both read the bracket, the moments and the theta side from the same
+per-particle rows and end in one tail, ``_finish_update``.
 
 All weight arithmetic is in log space with per-row log-sum-exp
 normalization.  Rows with zero total mass raise instead of silently
@@ -200,8 +204,10 @@ class AmortizedRunner:
 
     def begin_step(self, y_t: np.ndarray) -> None:
         # a copy: the history is re-run next step, after the caller may
-        # have reused its buffer
+        # have reused its buffer.  Missing (NaN) coordinates enter as zeros,
+        # so the amortizer reads U[:, valid] @ y[valid]; the models mask them.
         y_t = np.array(y_t, dtype=np.float64)
+        y_t[np.isnan(y_t)] = 0.0
         self.hist.append((self.a_live.copy(), y_t))
         if len(self.hist) > self.window + 1:
             self.hist.pop(0)
@@ -261,21 +267,6 @@ class AmortizedRunner:
         out[:, spec.offset:spec.offset + spec.size] += pot_grads
         return out
 
-    def snapshot(self) -> dict:
-        return {
-            "a_live": self.a_live.copy(),
-            "hist_a": np.stack([a for a, _ in self.hist]) if self.hist else None,
-            "hist_y": np.stack([y for _, y in self.hist]) if self.hist else None,
-        }
-
-    def restore(self, snap: dict) -> None:
-        self.a_live = snap["a_live"].copy()
-        if snap["hist_a"] is None:
-            self.hist = []
-        else:
-            self.hist = [(a.copy(), y.copy())
-                         for a, y in zip(snap["hist_a"], snap["hist_y"])]
-
 
 class ConjugateRunner:
     """Precomputed per-step marginals and affine potentials; no phi-gradients."""
@@ -328,10 +319,7 @@ def init_cloud(model, runner, y0: np.ndarray, config: EngineConfig,
         g_stat = np.zeros((n, runner.dim_phi), dtype=config.g_dtype)
     if dim_theta is not None:
         f_stat = models.grad_theta_init_batch(model, xi, y0)
-    cloud = ParticleCloud(xi=xi, h_stat=h, g_stat=g_stat, f_stat=f_stat,
-                          log_q_marginal=log_q, eta=eta, t=0, chain=runner.chain_cur)
-    _check_finite(cloud)
-    return cloud
+    return _checked_cloud(runner, xi, log_q, 0, h, g_stat, f_stat)
 
 
 @dataclass
@@ -475,6 +463,15 @@ def _check_finite(cloud: ParticleCloud) -> None:
                 f"{name} statistic non-finite at particle {int(bad[0])}, t={cloud.t}")
 
 
+def _checked_cloud(runner, xi: np.ndarray, log_q: np.ndarray, t: int, h: np.ndarray,
+                   g: np.ndarray | None, f: np.ndarray | None) -> ParticleCloud:
+    """The cloud of time ``t`` under the runner's current marginal, checked finite."""
+    cloud = ParticleCloud(xi=xi, h_stat=h, g_stat=g, f_stat=f, log_q_marginal=log_q,
+                          eta=runner.current_eta(), t=t, chain=runner.chain_cur)
+    _check_finite(cloud)
+    return cloud
+
+
 def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runner,
                       y_t: np.ndarray, t: int, kernel: KernelBatch, log_q_new: np.ndarray,
                       config: EngineConfig, kept: np.ndarray | None = None) -> ParticleCloud:
@@ -488,14 +485,15 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
     centering the g-bracket by h_new subtracts h_new * (w @ T); w, cast
     to g's dtype, times g_prev goes straight into the new g's rows; and
     one product of w with ``models.grad_theta_pair_rows`` (the carried f
-    first) gives the theta side.  The previous-particle rows are built
-    once per step.  The block arrays (the weights, the bracket and the
+    first) gives the theta side.  ``_finish_update``, shared with the
+    sampled route, completes the step.  The previous-particle rows are
+    built once per step.  The block arrays (the weights, the bracket and the
     cast weights), the moments and the theta sums are the runner's work
     arrays, reused across steps; only h, g and f are new.  ``kept``, an
     (N_new, N_prev) array, receives the weights if given.
     """
     n_new = xi_new.shape[0]
-    n_prev, d = cloud_prev.xi.shape
+    n_prev = cloud_prev.n
     work = runner.work
     blocks = row_blocks(n_new, n_prev)
     block_shape = (blocks[0].stop, n_prev)
@@ -533,23 +531,32 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
         if theta_rows is not None:
             np.matmul(w, theta_rows, out=theta_sums[rows])
 
+    return _finish_update(model, runner, y_t, t, xi_new, log_q_new, kernel, h_new,
+                          moments, g_new, theta_sums)
+
+
+def _finish_update(model, runner, y_t: np.ndarray, t: int, xi_new: np.ndarray,
+                   log_q_new: np.ndarray, kernel: KernelBatch, h_new: np.ndarray,
+                   moments: np.ndarray | None, g_new: np.ndarray | None,
+                   theta_sums: np.ndarray | None) -> ParticleCloud:
+    """The tail of both routes: g, f and the checked cloud from weighted sums.
+
+    ``moments`` holds sum_j c_ij [x_j, vec(x_j x_j'), 1], c the (centered)
+    bracket times the weights, which contracts the kernel scores into
+    ``g_new``, already the weighted carried g; ``theta_sums`` is the
+    weights times ``models.grad_theta_pair_rows``.
+    """
+    d = xi_new.shape[1]
     if g_new is not None:
         mean, second = gaussian.mean_params_batch(kernel.eta1, kernel.eta2)
-        # contraction of the closed-form kernel scores with the weights
         mass = moments[:, -1]
         u1 = moments[:, :d] - mass[:, None] * mean
         u2 = moments[:, d:-1].reshape(-1, d, d) - mass[:, None, None] * second
         runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts, out=g_new)
-
     f_new = None
     if theta_sums is not None:
         f_new = models.grad_theta_pair_finish(model, xi_new, y_t, theta_sums)
-
-    cloud = ParticleCloud(xi=xi_new, h_stat=h_new, g_stat=g_new, f_stat=f_new,
-                          log_q_marginal=log_q_new, eta=runner.current_eta(),
-                          t=t, chain=runner.chain_cur)
-    _check_finite(cloud)
-    return cloud
+    return _checked_cloud(runner, xi_new, log_q_new, t, h_new, g_new, f_new)
 
 
 def _categorical_rows(w: np.ndarray, m_draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -648,69 +655,39 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
 def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray, m_draws: int,
                            rng: np.random.Generator, model, runner, y_t: np.ndarray,
                            t: int, kernel: KernelBatch, log_q_new: np.ndarray,
-                           config: EngineConfig, method: str = "categorical",
+                           config: EngineConfig,
                            wmat: WeightMatrix | None = None) -> ParticleCloud:
-    """O(N M) update: row sums replaced by averages over M index draws.
+    """O(N M) update: the full update with weight 1/M at each draw (i, idx[i, m]).
 
-    The g-bracket is centered by the freshly computed h statistic (the
-    built-in control variate); all three statistics share the draws.
-    The carried g and f rows are gathered draw by draw into the new
-    cloud's arrays, and the kernel cotangents, contracted over the draws
-    in natural parameters, are widened straight into the new g, which
-    has the dtype of the carried one.
+    The draws are by accept-reject when ``config.method`` is
+    "accept_reject", else from the categorical rows of the weights.  The
+    bracket of ``pair_terms``' rows, the moments, the carried g and the
+    theta rows are averaged over each row's draws.
     """
-    n_new = xi_new.shape[0]
-    if method == "categorical":
+    if config.method == "accept_reject":
+        idx = _accept_reject_rows(cloud_prev, kernel, config, m_draws, rng)
+    else:
         if wmat is None:
             wmat = weight_matrix(cloud_prev, kernel, config)
         idx = _categorical_rows(wmat.w, m_draws, rng)
-    elif method == "accept_reject":
-        idx = _accept_reject_rows(cloud_prev, kernel, config, m_draws, rng)
-    else:
-        raise ValueError(f"unknown backward sampling method {method!r}")
 
-    xs_j = cloud_prev.xi[idx]                             # (N, M, d)
-    means_prev = models.transition_mean(model, cloud_prev.xi)
-    log_m = models.log_m_gathered(model, means_prev, idx, xi_new)
-    log_g = models.log_g_batch(model, xi_new, y_t)
-    # kernel log-density at gathered pairs
-    log_z = gaussian.log_partition_batch(kernel.eta1, kernel.eta2)
-    lin = np.einsum("nd,nmd->nm", kernel.eta1, xs_j)
-    quad = np.einsum("nmd,nde,nme->nm", xs_j, kernel.eta2, xs_j)
-    log_kernel = lin + quad - log_z[:, None]
-    h_tilde = log_m + log_g[:, None] - log_kernel         # (N, M)
-
-    bracket = cloud_prev.h_stat[idx] + h_tilde
+    stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
+    left, right = pair_terms(model, cloud_prev, xi_new, y_t, kernel, stats_prev)
+    bracket = np.einsum("nk,nmk->nm", left, right[idx])
     h_new = bracket.mean(axis=1)
-
-    g_new = None
+    moments = g_new = theta_sums = None
     if cloud_prev.g_stat is not None:
         coeff = bracket - h_new[:, None] if config.gstat_centered else bracket
-        mean, second = gaussian.mean_params_batch(kernel.eta1, kernel.eta2)
-        cw = coeff / m_draws
-        u1 = (np.einsum("nm,nmd->nd", cw, xs_j)
-              - cw.sum(axis=1)[:, None] * mean)
-        u2 = (np.einsum("nm,nmd,nme->nde", cw, xs_j, xs_j)
-              - cw.sum(axis=1)[:, None, None] * second)
+        moments = np.einsum("nm,nmk->nk", coeff / m_draws, stats_prev[idx])
         g_prev = cloud_prev.g_stat
         g_new = _gather_mean(g_prev, idx,
-                             runner.work.get("phi", (n_new, g_prev.shape[1]), g_prev.dtype))
-        runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts, out=g_new)
-
-    f_new = None
+                             runner.work.get("phi", (xi_new.shape[0], g_prev.shape[1]),
+                                             g_prev.dtype))
     if cloud_prev.f_stat is not None:
-        f_new = _gather_mean(cloud_prev.f_stat, idx)
-        trans = models.grad_theta_transition_pairs(
-            model, xs_j.reshape(n_new * m_draws, -1),
-            np.repeat(xi_new, m_draws, axis=0))
-        f_new += trans.reshape(n_new, m_draws, -1).mean(axis=1)
-        f_new += models.grad_theta_emission_batch(model, xi_new, y_t)
-
-    cloud = ParticleCloud(xi=xi_new, h_stat=h_new, g_stat=g_new, f_stat=f_new,
-                          log_q_marginal=log_q_new, eta=runner.current_eta(),
-                          t=t, chain=runner.chain_cur)
-    _check_finite(cloud)
-    return cloud
+        theta_sums = _gather_mean(
+            models.grad_theta_pair_rows(model, cloud_prev.xi, cloud_prev.f_stat), idx)
+    return _finish_update(model, runner, y_t, t, xi_new, log_q_new, kernel, h_new,
+                          moments, g_new, theta_sums)
 
 
 def _gather_mean(stat: np.ndarray, idx: np.ndarray,
@@ -814,8 +791,7 @@ def step(state: EngineState, y_t: np.ndarray, model, config: EngineConfig,
             wmat = weight_matrix(state.cloud, kernel, config)
         cloud_new = backward_sample_update(state.cloud, xi_new, config.m_backward,
                                            rng, model, runner, y_t, t_new, kernel,
-                                           log_q_new, config, method=config.method,
-                                           wmat=wmat)
+                                           log_q_new, config, wmat=wmat)
     out = estimate(cloud_new, use_control_variates=config.cv_grad_phi)
     new_state = EngineState(cloud=cloud_new, runner=runner, t=t_new,
                             last_step_ns=time.perf_counter_ns() - started,

@@ -14,21 +14,23 @@ Learnable parameters per class:
   fixed;
 - residual nonlinear: both networks plus log-diagonal noise variances.
 
-Batched variants serve the particle engine.  Every sum over particle
-pairs is a matrix product of per-particle feature rows, with no (n, m, d)
-temporary.  ``transition_rows`` gives the rows whose inner products are
-the transition log-densities, the squared residual expanded as
-|a|^2 - 2 a.b + |b|^2; ``log_m_cross`` multiplies them, and the engine
-extends them by the kernel's rows so that its whole pair bracket is one
-product.  So these agree with the scalar ops to rounding that grows with
-|x|^2 + |mean|^2 over the noise variance, not exactly.
-``grad_theta_pair_contract`` is two halves around one product with the
-weights: ``grad_theta_pair_rows`` builds, once per step, rows of the
-previous theta-statistic and every per-particle feature the transition
-gradient sums over, the residual network's per-sample gradient rows
-among them; ``grad_theta_pair_finish`` completes the product's rows.
-The engine multiplies one row block of weights at a time with the rows,
-so it reads each block of the weights once.
+The engine's model protocol: ``log_init_batch``, ``log_g_batch``,
+``transition_rows``, ``grad_theta_pair_rows`` with
+``grad_theta_pair_finish``, ``grad_theta_init_batch`` and
+``theta_layout``.  Every sum over particle pairs is made of inner
+products of per-particle feature rows, on the full route and at the
+drawn pairs alike.  ``transition_rows`` gives the rows whose inner
+products are the transition log-densities, the squared residual expanded
+as |a|^2 - 2 a.b + |b|^2, which the engine extends by the kernel's rows
+into its pair bracket; so these agree with the scalar ops to rounding
+that grows with |x|^2 + |mean|^2 over the noise variance, not exactly.
+``grad_theta_pair_rows`` builds, once per step, rows of the previous
+theta-statistic and every per-particle feature the transition gradient
+sums over; the engine weights them, and ``grad_theta_pair_finish``
+completes the weighted sums.  The compositions and gathered forms
+(``log_m_cross``, ``log_m_gathered``, ``grad_theta_pair_contract``,
+``grad_theta_transition_pairs``, ``grad_theta_emission_batch``) are off
+the step path: references kept for the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations

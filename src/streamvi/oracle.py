@@ -4,7 +4,7 @@ Kalman filter (Joseph-stabilized), RTS smoother, exact backward kernels,
 a dense joint-Gaussian brute force for small problems, and closed-form
 evaluation of the expected cumulative pair-term under an affine-Gaussian
 variational family.  Everything here is test-side ground truth for the
-Monte Carlo engine; observations are assumed fully observed.
+Monte Carlo engine.  Only ``kalman_filter`` allows missing (NaN) entries.
 """
 
 from __future__ import annotations
@@ -56,13 +56,16 @@ def _gauss_logpdf(resid: np.ndarray, cov: np.ndarray) -> float:
 
 
 def kalman_filter(model: LinearGaussianSSM, ys: np.ndarray) -> FilterOutput:
-    """Standard predict/update recursions with Joseph-form covariance."""
+    """Standard predict/update recursions with Joseph-form covariance.
+
+    NaN entries of ``ys`` are missing: an update uses the observed rows of
+    G only, and a step with none adds 0 and keeps the prediction.
+    """
     if not isinstance(model, LinearGaussianSSM):
         raise ModelMismatch("kalman_filter requires a LinearGaussianSSM")
     ys = np.asarray(ys, dtype=np.float64)
     t_len, d = ys.shape[0], model.d_x
     eye = np.eye(d)
-    r_mat = model.r_var * np.eye(model.d_y)
     pred_mean = np.empty((t_len, d))
     pred_cov = np.empty((t_len, d, d))
     filt_mean = np.empty((t_len, d))
@@ -71,13 +74,17 @@ def kalman_filter(model: LinearGaussianSSM, ys: np.ndarray) -> FilterOutput:
     m, p = model.mu0.copy(), model.q0_var * np.eye(d)
     for t in range(t_len):
         pred_mean[t], pred_cov[t] = m, p
-        innov_cov = _sym(model.G @ p @ model.G.T + r_mat)
-        resid = ys[t] - model.G @ m
-        incr[t] = _gauss_logpdf(resid, innov_cov)
-        gain = p @ model.G.T @ np.linalg.inv(innov_cov)
-        m = m + gain @ resid
-        imkg = eye - gain @ model.G
-        p = _sym(imkg @ p @ imkg.T + model.r_var * gain @ gain.T)
+        valid = ~np.isnan(ys[t])
+        g_obs = model.G[valid]
+        incr[t] = 0.0
+        if valid.any():
+            innov_cov = _sym(g_obs @ p @ g_obs.T + model.r_var * np.eye(valid.sum()))
+            resid = ys[t, valid] - g_obs @ m
+            incr[t] = _gauss_logpdf(resid, innov_cov)
+            gain = p @ g_obs.T @ np.linalg.inv(innov_cov)
+            m = m + gain @ resid
+            imkg = eye - gain @ g_obs
+            p = _sym(imkg @ p @ imkg.T + model.r_var * gain @ gain.T)
         filt_mean[t], filt_cov[t] = m, p
         if t + 1 < t_len:
             m = model.F @ m

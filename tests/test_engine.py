@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -292,12 +293,13 @@ class TestBackwardSampling:
         wmat = engine.weight_matrix(cloud, kernel, cfg)
         full = engine.update_statistics(cloud, xi_new, m, runner,
                                         np.array([0.5]), 1, kernel, log_q_new, cfg)
+        cfg = dataclasses.replace(cfg, method="categorical")
         reps = 10**4
         acc = np.zeros((reps, cloud.n))
         for r in range(reps):
             sampled = engine.backward_sample_update(
                 cloud, xi_new, 2, rng, m, runner, np.array([0.5]), 1, kernel,
-                log_q_new, cfg, method="categorical", wmat=wmat)
+                log_q_new, cfg, wmat=wmat)
             acc[r] = sampled.h_stat
         mean = acc.mean(axis=0)
         stderr = acc.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -323,10 +325,10 @@ class TestBackwardSampling:
     def test_accept_reject_needs_bound(self):
         rng = np.random.default_rng(19)
         m, runner, cfg, cloud, xi_new, log_q_new, kernel = self.make_step_pieces(rng)
+        cfg = dataclasses.replace(cfg, method="accept_reject")
         with pytest.raises(MissingBound):
             engine.backward_sample_update(cloud, xi_new, 2, rng, m, runner,
-                                          np.array([0.5]), 1, kernel, log_q_new,
-                                          cfg, method="accept_reject")
+                                          np.array([0.5]), 1, kernel, log_q_new, cfg)
 
     def test_default_m_is_two(self):
         assert engine.EngineConfig().m_backward == 2
@@ -344,7 +346,7 @@ class TestBackwardSampling:
         cfg = engine.EngineConfig(n_particles=1, compute_grads=False)
         sampled = engine.backward_sample_update(cloud, xi_new, 3, rng, m, runner,
                                                 np.array([0.5]), 1, kernel, log_q_new,
-                                                cfg, method="categorical")
+                                                dataclasses.replace(cfg, method="categorical"))
         full = engine.update_statistics(cloud, xi_new, m, runner,
                                         np.array([0.5]), 1, kernel, log_q_new, cfg)
         np.testing.assert_allclose(sampled.h_stat, full.h_stat, rtol=1e-12)
