@@ -6,8 +6,9 @@ The package provides, bottom up:
   variational family);
 - ``layout`` / ``mlp``: flat parameter-vector layouts, and small dense
   networks with hand-rolled backward passes;
-- ``models``: generative state-space models with transition/emission
-  log-densities and their parameter gradients;
+- ``models``: generative state-space models, one class each holding the
+  maths that differs between them, and the log-density, sampling and
+  theta-gradient functions written once over those classes;
 - ``variational``: the amortized backward-factorized variational family;
 - ``tape`` / ``gradients``: reverse-mode differentiation of the scalar
   quantities the estimators need, plus a finite-difference verifier;

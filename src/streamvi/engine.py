@@ -65,7 +65,6 @@ setting.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -347,13 +346,6 @@ def build_kernel(runner, xi_new: np.ndarray) -> KernelBatch:
                        pot_eta2=pot_eta2, pot_raw=pot_raw, pot_acts=pot_acts)
 
 
-def potential_cross(pot_eta1: np.ndarray, pot_eta2: np.ndarray, xs_prev: np.ndarray,
-                    stats: np.ndarray | None = None,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """<eta~(xi_new_i), T(xs_prev_j)> for all pairs; shape (n_new, n_prev)."""
-    return gaussian.inner_cross(pot_eta1, pot_eta2, xs_prev, stats=stats, out=out)
-
-
 def row_blocks(n_new: int, n_prev: int) -> list[slice]:
     """Consecutive slices of the new-particle rows, ``ROW_BLOCK_BYTES`` of
     float64 per (rows, n_prev) array and at least one row each."""
@@ -375,8 +367,8 @@ def block_weights(cloud_prev: ParticleCloud, kernel: KernelBatch, config: Engine
     the previous particles.  Shape (n_rows, N_prev).
     """
     if config.clip_enabled:
-        cross = potential_cross(kernel.pot_eta1[rows], kernel.pot_eta2[rows],
-                                cloud_prev.xi, stats_prev, out=out)
+        cross = gaussian.inner_cross(kernel.pot_eta1[rows], kernel.pot_eta2[rows],
+                                     cloud_prev.xi, stats=stats_prev, out=out)
         np.clip(cross, config.log_eps_minus, config.log_eps_plus, out=cross)
     else:
         cross = gaussian.log_density_cross(kernel.eta1[rows], kernel.eta2[rows],
@@ -645,8 +637,8 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
         rows, cols = rows[~accept], cols[~accept]
     if rows.size:
         fb_rows, pos = np.unique(rows, return_inverse=True)
-        log_pot = np.clip(potential_cross(kernel.pot_eta1[fb_rows],
-                                          kernel.pot_eta2[fb_rows], xs), eps_lo, eps_hi)
+        log_pot = np.clip(gaussian.inner_cross(kernel.pot_eta1[fb_rows],
+                                               kernel.pot_eta2[fb_rows], xs), eps_lo, eps_hi)
         fallback = _categorical_rows(_normalize_rows(log_pot), m_draws, rng)
         idx[rows, cols] = fallback[pos, cols]
     return idx
@@ -747,7 +739,6 @@ class EngineState:
     cloud: ParticleCloud
     runner: object
     t: int = 0
-    last_step_ns: int = 0
     last_wmat: WeightMatrix | None = field(default=None, repr=False)
 
 
@@ -771,7 +762,6 @@ def init_state(model, runner, y0: np.ndarray, config: EngineConfig,
 def step(state: EngineState, y_t: np.ndarray, model, config: EngineConfig,
          rng: np.random.Generator, keep_weights: bool = False) -> tuple[EngineState, EstimatorOutput]:
     """Advance one observation: sample, weight, update, estimate."""
-    started = time.perf_counter_ns()
     runner = state.runner
     runner.begin_step(y_t)
     eta_t = runner.current_eta()
@@ -794,6 +784,5 @@ def step(state: EngineState, y_t: np.ndarray, model, config: EngineConfig,
                                            log_q_new, config, wmat=wmat)
     out = estimate(cloud_new, use_control_variates=config.cv_grad_phi)
     new_state = EngineState(cloud=cloud_new, runner=runner, t=t_new,
-                            last_step_ns=time.perf_counter_ns() - started,
                             last_wmat=wmat if keep_weights else None)
     return new_state, out

@@ -32,14 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mlp, models, tape as tp, variational as var
+from . import mlp, tape as tp, variational as var
 from .errors import NonFiniteFunctionValue
 from .gaussian import LOG_2PI, mean_params_batch
 
 
 @dataclass
 class GradRequest:
-    wrt: str = "phi"
     truncation_window: int = 2
 
     def __post_init__(self):
@@ -209,15 +208,6 @@ def grad_phi_log_backward(params: var.AmortizerParams, a_boundary: np.ndarray,
     out = _log_density_nodes(t, eta1_m + eta1_p, prec_m + prec_p,
                              np.asarray(x_prev, dtype=np.float64))
     return _flat_from_leaf_grads(params, t.gradient(out, leaves))
-
-
-def grad_theta_htilde(model, varparams, x_prev, x, y, t: int) -> np.ndarray:
-    """Theta-gradient of the per-step pair term.
-
-    The variational denominator carries no theta dependence, so this is
-    exactly the model's joint-pair gradient.
-    """
-    return models.grad_theta_log_joint_pair(model, x_prev, x, y, t)
 
 
 # ---------------------------------------------------------------------------

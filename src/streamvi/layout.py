@@ -3,9 +3,6 @@
 Learnable parameters live in one float64 vector; a layout maps names to
 (offset, shape) views so optimizer updates stay a single axpy while
 model/network code addresses blocks by name.
-
-Checkpoint format: raw little-endian float64 for the vector plus a
-plain-text manifest with one ``name offset shape`` line per slice.
 """
 
 from __future__ import annotations
@@ -62,29 +59,3 @@ class ParamLayout:
 
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
-
-
-def save_checkpoint(path: str, flat: np.ndarray, layout: ParamLayout) -> None:
-    """Write <path>.bin (LE float64) and <path>.manifest (text)."""
-    np.asarray(flat, dtype="<f8").tofile(path + ".bin")
-    with open(path + ".manifest", "w") as fh:
-        fh.write(f"total {layout.total}\n")
-        for e in layout.entries:
-            shape = "x".join(str(s) for s in e.shape) if e.shape else "scalar"
-            fh.write(f"{e.name} {e.offset} {shape}\n")
-
-
-def load_checkpoint(path: str) -> tuple[np.ndarray, ParamLayout]:
-    with open(path + ".manifest") as fh:
-        lines = fh.read().strip().splitlines()
-    total = int(lines[0].split()[1])
-    entries = []
-    for line in lines[1:]:
-        name, off, shape_s = line.split()
-        shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split("x"))
-        entries.append(SliceSpec(name=name, offset=int(off), shape=shape))
-    layout = ParamLayout(entries)
-    flat = np.fromfile(path + ".bin", dtype="<f8")
-    if flat.size != total or layout.total != total:
-        raise ValueError("checkpoint size does not match manifest")
-    return flat.astype(np.float64), layout

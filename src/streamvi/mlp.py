@@ -22,7 +22,7 @@ Weights are stored (out, in); forward computes W x + b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,9 +4,7 @@ Three model classes share one protocol: trajectory simulation, the
 transition log-density ``log_m`` (which at t=0 is the log initial
 density), the emission log-density ``log_g`` (NaN observation entries
 are treated as missing and contribute zero), and the gradient of
-``log_m + log_g`` in the learnable model parameters.
-
-Learnable parameters per class:
+``log_m + log_g`` in the learnable model parameters:
 
 - linear Gaussian: the transition and emission matrices (F, G), noise
   variances fixed;
@@ -14,23 +12,29 @@ Learnable parameters per class:
   fixed;
 - residual nonlinear: both networks plus log-diagonal noise variances.
 
-The engine's model protocol: ``log_init_batch``, ``log_g_batch``,
+A class defines only what differs: the transition mean and its noise
+variance ``q`` (a scalar or one entry per coordinate), the initial mean
+and variance, the emission log-density over the observed coordinates
+(batched, plus a per-pair reference) and sampler, the theta layout with
+its pack and replace, and the theta-gradient pieces, as named blocks
+(``pair_features``, ``pair_finish``, ``emission_grad``,
+``transition_grad_pairs`` and the per-pair reference ``grad_pair``).
+Each module function below is written once over those methods, with the
+NaN masking, the Gaussian normalizers and the flat theta placement.
+
+The engine calls ``log_init_batch``, ``log_g_batch``,
 ``transition_rows``, ``grad_theta_pair_rows`` with
 ``grad_theta_pair_finish``, ``grad_theta_init_batch`` and
-``theta_layout``.  Every sum over particle pairs is made of inner
-products of per-particle feature rows, on the full route and at the
-drawn pairs alike.  ``transition_rows`` gives the rows whose inner
-products are the transition log-densities, the squared residual expanded
-as |a|^2 - 2 a.b + |b|^2, which the engine extends by the kernel's rows
-into its pair bracket; so these agree with the scalar ops to rounding
-that grows with |x|^2 + |mean|^2 over the noise variance, not exactly.
-``grad_theta_pair_rows`` builds, once per step, rows of the previous
-theta-statistic and every per-particle feature the transition gradient
-sums over; the engine weights them, and ``grad_theta_pair_finish``
-completes the weighted sums.  The compositions and gathered forms
-(``log_m_cross``, ``log_m_gathered``, ``grad_theta_pair_contract``,
-``grad_theta_transition_pairs``, ``grad_theta_emission_batch``) are off
-the step path: references kept for the tests and the benchmark's tracer.
+``theta_layout``.  ``transition_rows`` gives feature rows whose inner
+products are the transition log-densities (|a|^2 - 2 a.b + |b|^2), so
+they agree with the scalar ops to rounding that grows with
+|x|^2 + |mean|^2 over the noise variance.  ``grad_theta_pair_rows``
+gives rows of the carried theta-statistic and every per-particle feature
+the transition gradient sums over; the engine weights them and
+``grad_theta_pair_finish`` completes the sums.  ``log_m_cross``,
+``log_m_gathered``, ``grad_theta_pair_contract``,
+``grad_theta_transition_pairs`` and ``grad_theta_emission_batch`` are
+off the step path, references for the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -43,6 +47,27 @@ import numpy as np
 from . import gaussian, mlp
 from .gaussian import LOG_2PI
 from .layout import ParamLayout
+
+
+def _gauss_logpdf(resid: np.ndarray, var) -> np.ndarray:
+    """log N(resid; 0, var I) summed over the last axis; var a scalar or one per coordinate."""
+    if np.ndim(var) == 0:
+        d = resid.shape[-1]
+        return -0.5 * d * (LOG_2PI + math.log(var)) - 0.5 * np.sum(resid * resid, axis=-1) / var
+    return np.sum(-0.5 * (LOG_2PI + np.log(var)) - 0.5 * resid * resid / var, axis=-1)
+
+
+def _student_t(rng: np.random.Generator, dof: float, shape) -> np.ndarray:
+    # Gaussian / chi-square ratio for exactness and seed determinism
+    z = rng.standard_normal(shape)
+    v = rng.chisquare(dof, shape)
+    return z / np.sqrt(v / dof)
+
+
+def _student_t_logpdf(z: np.ndarray, dof: float, scale: float) -> np.ndarray:
+    const = (math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0)
+             - 0.5 * math.log(dof * math.pi) - math.log(scale))
+    return const - 0.5 * (dof + 1.0) * np.log1p((z / scale) ** 2 / dof)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +99,58 @@ class LinearGaussianSSM:
     @property
     def d_y(self) -> int:
         return self.G.shape[0]
+
+    q = property(lambda self: self.q_var)
+    init_mean = property(lambda self: self.mu0)
+    init_var = property(lambda self: self.q0_var)
+
+    def transition_mean(self, x_prev: np.ndarray) -> np.ndarray:
+        return x_prev @ self.F.T
+
+    def log_g_rows(self, xs, y, valid):
+        return _gauss_logpdf(y[valid][None, :] - (xs @ self.G.T)[:, valid], self.r_var)
+
+    def log_g_pair(self, x, y, valid):
+        return _gauss_logpdf((y - self.G @ x)[valid], self.r_var)
+
+    def sample_emission(self, x, rng):
+        return self.G @ x + math.sqrt(self.r_var) * rng.standard_normal(self.d_y)
+
+    def theta_layout(self) -> ParamLayout:
+        return ParamLayout.build([("F", self.F.shape), ("G", self.G.shape)])
+
+    def theta_arrays(self) -> dict:
+        return {"F": self.F, "G": self.G}
+
+    def replace_theta(self, views: dict):
+        return replace(self, F=views["F"].copy(), G=views["G"].copy())
+
+    def pair_features(self, xs_prev):
+        return [gaussian.suff_stat_rows(xs_prev)]
+
+    def pair_finish(self, xs_new, sums):
+        # transition: sum_j c_ij (x_i - F x_j) x_j' / q
+        n_new, d = xs_new.shape
+        sx = sums[:, :d]
+        sxx = sums[:, d:-1].reshape(n_new, d, d)
+        gF = (np.einsum("id,ie->ide", xs_new, sx) - np.einsum("de,ief->idf", self.F, sxx))
+        return {"F": gF.reshape(n_new, -1) / self.q_var}, sums[:, -1]
+
+    def emission_grad(self, xs, y, valid, scale):
+        # scale_i * (y - G x_i) x_i' / r on valid coords
+        resid_y = np.where(valid, y[None, :] - xs @ self.G.T, 0.0)
+        gG = np.einsum("i,ik,id->ikd", scale, resid_y / self.r_var, xs)
+        return {"G": gG.reshape(xs.shape[0], -1)}
+
+    def transition_grad_pairs(self, xs_prev, xs_new):
+        resid = (xs_new - xs_prev @ self.F.T) / self.q_var
+        return {"F": np.einsum("kd,ke->kde", resid, xs_prev).reshape(xs_prev.shape[0], -1)}
+
+    def grad_pair(self, x_prev, x, y, valid):
+        grads = {"G": np.where(valid[:, None], np.outer((y - self.G @ x) / self.r_var, x), 0.0)}
+        if x_prev is not None:
+            grads["F"] = np.outer((x - self.F @ x_prev) / self.q_var, x_prev)
+        return grads
 
 
 @dataclass(frozen=True)
@@ -107,10 +184,72 @@ class ChaoticRNNModel:
     def d_y(self) -> int:
         return self.W.shape[0]
 
+    init_mean = 0.0
+    q = property(lambda self: self.q_var)
+    init_var = property(lambda self: self.q_var)
+
     def drift(self, x_prev: np.ndarray) -> np.ndarray:
         """Conditional mean of X_t given X_{t-1}; works on (d,) or (n, d)."""
         push = self.gamma * (np.tanh(x_prev) @ self.W.T)
         return x_prev + (self.delta / self.rho) * (push - x_prev)
+
+    transition_mean = drift
+
+    def mean_derivatives(self, x_prev):
+        """(mean, d mean / d rho, d mean / d gamma) at x_prev; (d,) or (n, d)."""
+        pull = np.tanh(x_prev) @ self.W.T
+        push = self.gamma * pull
+        mean = x_prev + (self.delta / self.rho) * (push - x_prev)
+        return mean, -(self.delta / self.rho**2) * (push - x_prev), (self.delta / self.rho) * pull
+
+    def log_g_rows(self, xs, y, valid):
+        return np.sum(_student_t_logpdf(y[valid][None, :] - xs[:, valid], self.t_dof,
+                                        self.t_scale), axis=-1)
+
+    def log_g_pair(self, x, y, valid):
+        return np.sum(_student_t_logpdf((y - x)[valid], self.t_dof, self.t_scale))
+
+    def sample_emission(self, x, rng):
+        return x + self.t_scale * _student_t(rng, self.t_dof, self.d_y)
+
+    def theta_layout(self) -> ParamLayout:
+        return ParamLayout.build([("rho", ()), ("gamma", ())])
+
+    def theta_arrays(self) -> dict:
+        return {"rho": np.array(self.rho), "gamma": np.array(self.gamma)}
+
+    def replace_theta(self, views: dict):
+        return replace(self, rho=float(views["rho"]), gamma=float(views["gamma"]))
+
+    def pair_features(self, xs_prev):
+        mean, d_rho, d_gamma = self.mean_derivatives(xs_prev)
+        return [d_rho, d_gamma, np.einsum("jd,jd->j", mean, d_rho)[:, None],
+                np.einsum("jd,jd->j", mean, d_gamma)[:, None]]
+
+    def pair_finish(self, xs_new, sums):
+        # sum_j c_ij (x_i - mean_j) . dmean_j = x_i . (c @ dmean)_i - (c @ (mean . dmean))_i
+        # and no emission parameters, so no row sums
+        d = xs_new.shape[1]
+        d_rho = np.einsum("id,id->i", xs_new, sums[:, :d]) - sums[:, 2 * d]
+        d_gamma = np.einsum("id,id->i", xs_new, sums[:, d:2 * d]) - sums[:, 2 * d + 1]
+        return {"rho": (d_rho / self.q_var)[:, None],
+                "gamma": (d_gamma / self.q_var)[:, None]}, None
+
+    def emission_grad(self, xs, y, valid, scale):
+        return {}
+
+    def transition_grad_pairs(self, xs_prev, xs_new):
+        mean, d_rho, d_gamma = self.mean_derivatives(xs_prev)
+        resid = (xs_new - mean) / self.q_var
+        return {"rho": np.sum(resid * d_rho, axis=-1)[:, None],
+                "gamma": np.sum(resid * d_gamma, axis=-1)[:, None]}
+
+    def grad_pair(self, x_prev, x, y, valid):
+        if x_prev is None:
+            return {}
+        mean, d_rho, d_gamma = self.mean_derivatives(x_prev)
+        resid = (x - mean) / self.q_var
+        return {"rho": resid @ d_rho, "gamma": resid @ d_gamma}
 
 
 @dataclass(frozen=True)
@@ -138,6 +277,82 @@ class ResidualNonlinearSSM:
     def d_y(self) -> int:
         return self.g_net.out_dim
 
+    init_mean = 0.0
+    init_var = 1.0
+    q = property(lambda self: self.q_diag)
+
+    def transition_mean(self, x_prev: np.ndarray) -> np.ndarray:
+        return x_prev + mlp.forward(self.f_net, x_prev)
+
+    def log_g_rows(self, xs, y, valid):
+        resid = y[valid][None, :] - mlp.forward(self.g_net, xs)[:, valid]
+        return _gauss_logpdf(resid, self.r_diag[valid])
+
+    def log_g_pair(self, x, y, valid):
+        return _gauss_logpdf((y - mlp.forward(self.g_net, x))[valid], self.r_diag[valid])
+
+    def sample_emission(self, x, rng):
+        return mlp.forward(self.g_net, x) + np.sqrt(self.r_diag) * rng.standard_normal(self.d_y)
+
+    def theta_layout(self) -> ParamLayout:
+        nets = [("f_net", (self.f_net.n_params,)), ("g_net", (self.g_net.n_params,))]
+        return ParamLayout.build(nets + [("log_q_diag", (self.d_x,)), ("log_r_diag", (self.d_y,))])
+
+    def theta_arrays(self) -> dict:
+        return {"f_net": self.f_net.pack(), "g_net": self.g_net.pack(),
+                "log_q_diag": np.log(self.q_diag), "log_r_diag": np.log(self.r_diag)}
+
+    def replace_theta(self, views: dict):
+        return replace(self, f_net=self.f_net.unpack(views["f_net"]),
+                       g_net=self.g_net.unpack(views["g_net"]),
+                       q_diag=np.exp(views["log_q_diag"]), r_diag=np.exp(views["log_r_diag"]))
+
+    def pair_features(self, xs_prev):
+        # [mean, mean^2, 1], then the network's per-sample gradient rows
+        # under the cotangents mean / q
+        f_out, f_acts = mlp.forward_cached(self.f_net, xs_prev)
+        mean = xs_prev + f_out
+        return [mean, mean * mean, np.ones((mean.shape[0], 1)),
+                mlp.vjp_params_cross_rows(self.f_net, None, mean / self.q_diag, acts=f_acts)]
+
+    def pair_finish(self, xs_new, sums):
+        # the cotangent of pair (i, j) is c_ij (x_i - mean_j) / q; and
+        # sum_j c_ij (-1/2 + (x_i - mean_j)^2 / (2 q)) from c @ [mean, mean^2, 1]
+        d = xs_new.shape[1]
+        q = self.q_diag
+        row_sum = sums[:, 2 * d]
+        return {"f_net": mlp.vjp_params_cross_finish(xs_new / q, sums[:, 2 * d + 1:]),
+                "log_q_diag": (-0.5 * row_sum[:, None]
+                               + 0.5 * (xs_new * xs_new * row_sum[:, None]
+                                        - 2.0 * xs_new * sums[:, :d] + sums[:, d:2 * d]) / q)
+                }, row_sum
+
+    def emission_grad(self, xs, y, valid, scale):
+        g_out, g_acts = mlp.forward_cached(self.g_net, xs)
+        resid_y = np.where(valid, y[None, :] - g_out, 0.0)
+        cot_g = scale[:, None] * resid_y / self.r_diag
+        return {"g_net": mlp.vjp_params_batched(self.g_net, xs, cot_g, acts=g_acts),
+                "log_r_diag": scale[:, None] * np.where(
+                    valid, -0.5 + 0.5 * resid_y * resid_y / self.r_diag, 0.0)}
+
+    def transition_grad_pairs(self, xs_prev, xs_new):
+        f_out, f_acts = mlp.forward_cached(self.f_net, xs_prev)
+        resid = xs_new - xs_prev - f_out
+        return {"f_net": mlp.vjp_params_batched(self.f_net, xs_prev, resid / self.q_diag,
+                                                acts=f_acts),
+                "log_q_diag": -0.5 + 0.5 * resid * resid / self.q_diag}
+
+    def grad_pair(self, x_prev, x, y, valid):
+        resid_y = y - mlp.forward(self.g_net, x)
+        cot = np.where(valid, resid_y / self.r_diag, 0.0)
+        grads = {"g_net": mlp.vjp_params(self.g_net, x, cot),
+                 "log_r_diag": np.where(valid, -0.5 + 0.5 * resid_y * resid_y / self.r_diag, 0.0)}
+        if x_prev is not None:
+            resid = x - x_prev - mlp.forward(self.f_net, x_prev)
+            grads["f_net"] = mlp.vjp_params(self.f_net, x_prev, resid / self.q_diag)
+            grads["log_q_diag"] = -0.5 + 0.5 * resid * resid / self.q_diag
+        return grads
+
 
 # ---------------------------------------------------------------------------
 # Learnable-parameter views
@@ -145,50 +360,18 @@ class ResidualNonlinearSSM:
 
 
 def theta_layout(model) -> ParamLayout:
-    if isinstance(model, LinearGaussianSSM):
-        return ParamLayout.build([("F", model.F.shape), ("G", model.G.shape)])
-    if isinstance(model, ChaoticRNNModel):
-        return ParamLayout.build([("rho", ()), ("gamma", ())])
-    if isinstance(model, ResidualNonlinearSSM):
-        return ParamLayout.build([
-            ("f_net", (model.f_net.n_params,)),
-            ("g_net", (model.g_net.n_params,)),
-            ("log_q_diag", (model.d_x,)),
-            ("log_r_diag", (model.d_y,)),
-        ])
-    raise TypeError(f"unknown model type {type(model)}")
+    return model.theta_layout()
 
 
 def get_theta(model) -> np.ndarray:
     """Flat vector of the learnable parameters."""
-    lay = theta_layout(model)
-    if isinstance(model, LinearGaussianSSM):
-        return lay.pack({"F": model.F, "G": model.G})
-    if isinstance(model, ChaoticRNNModel):
-        return lay.pack({"rho": np.array(model.rho), "gamma": np.array(model.gamma)})
-    return lay.pack({
-        "f_net": model.f_net.pack(),
-        "g_net": model.g_net.pack(),
-        "log_q_diag": np.log(model.q_diag),
-        "log_r_diag": np.log(model.r_diag),
-    })
+    return theta_layout(model).pack(model.theta_arrays())
 
 
 def with_theta(model, flat: np.ndarray):
     """New model object with the learnable parameters replaced."""
     lay = theta_layout(model)
-    if isinstance(model, LinearGaussianSSM):
-        return replace(model, F=lay.view(flat, "F").copy(), G=lay.view(flat, "G").copy())
-    if isinstance(model, ChaoticRNNModel):
-        return replace(model, rho=float(lay.view(flat, "rho")),
-                       gamma=float(lay.view(flat, "gamma")))
-    return replace(
-        model,
-        f_net=model.f_net.unpack(lay.view(flat, "f_net")),
-        g_net=model.g_net.unpack(lay.view(flat, "g_net")),
-        q_diag=np.exp(lay.view(flat, "log_q_diag")).copy(),
-        r_diag=np.exp(lay.view(flat, "log_r_diag")).copy(),
-    )
+    return model.replace_theta({name: lay.view(flat, name) for name in lay.names()})
 
 
 # ---------------------------------------------------------------------------
@@ -196,50 +379,20 @@ def with_theta(model, flat: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _student_t(rng: np.random.Generator, dof: float, shape) -> np.ndarray:
-    # Gaussian / chi-square ratio for exactness and seed determinism
-    z = rng.standard_normal(shape)
-    v = rng.chisquare(dof, shape)
-    return z / np.sqrt(v / dof)
-
-
 def simulate(model, T: int, rng: np.random.Generator):
     """Sample (states, observations) of shapes (T+1, d_x) and (T+1, d_y)."""
     if T < 0:
         raise ValueError("T must be >= 0")
-    if isinstance(model, LinearGaussianSSM):
-        d_x, d_y = model.d_x, model.d_y
-        xs = np.empty((T + 1, d_x))
-        ys = np.empty((T + 1, d_y))
-        xs[0] = model.mu0 + math.sqrt(model.q0_var) * rng.standard_normal(d_x)
-        ys[0] = model.G @ xs[0] + math.sqrt(model.r_var) * rng.standard_normal(d_y)
-        for t in range(1, T + 1):
-            xs[t] = model.F @ xs[t - 1] + math.sqrt(model.q_var) * rng.standard_normal(d_x)
-            ys[t] = model.G @ xs[t] + math.sqrt(model.r_var) * rng.standard_normal(d_y)
-        return xs, ys
-    if isinstance(model, ChaoticRNNModel):
-        d = model.d_x
-        xs = np.empty((T + 1, d))
-        ys = np.empty((T + 1, d))
-        sd = math.sqrt(model.q_var)
-        xs[0] = sd * rng.standard_normal(d)
-        ys[0] = xs[0] + model.t_scale * _student_t(rng, model.t_dof, d)
-        for t in range(1, T + 1):
-            xs[t] = model.drift(xs[t - 1]) + sd * rng.standard_normal(d)
-            ys[t] = xs[t] + model.t_scale * _student_t(rng, model.t_dof, d)
-        return xs, ys
-    if isinstance(model, ResidualNonlinearSSM):
-        d_x, d_y = model.d_x, model.d_y
-        xs = np.empty((T + 1, d_x))
-        ys = np.empty((T + 1, d_y))
-        sq, sr = np.sqrt(model.q_diag), np.sqrt(model.r_diag)
-        xs[0] = rng.standard_normal(d_x)
-        ys[0] = mlp.forward(model.g_net, xs[0]) + sr * rng.standard_normal(d_y)
-        for t in range(1, T + 1):
-            xs[t] = xs[t - 1] + mlp.forward(model.f_net, xs[t - 1]) + sq * rng.standard_normal(d_x)
-            ys[t] = mlp.forward(model.g_net, xs[t]) + sr * rng.standard_normal(d_y)
-        return xs, ys
-    raise TypeError(f"unknown model type {type(model)}")
+    d_x = model.d_x
+    xs = np.empty((T + 1, d_x))
+    ys = np.empty((T + 1, model.d_y))
+    xs[0] = model.init_mean + math.sqrt(model.init_var) * rng.standard_normal(d_x)
+    ys[0] = model.sample_emission(xs[0], rng)
+    sd = np.sqrt(model.q)
+    for t in range(1, T + 1):
+        xs[t] = model.transition_mean(xs[t - 1]) + sd * rng.standard_normal(d_x)
+        ys[t] = model.sample_emission(xs[t], rng)
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------
@@ -247,71 +400,32 @@ def simulate(model, T: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
-def _iso_gauss_logpdf(resid: np.ndarray, var: float) -> float:
-    d = resid.shape[-1]
-    return float(-0.5 * d * (LOG_2PI + math.log(var)) - 0.5 * np.sum(resid * resid, axis=-1) / var)
-
-
-def _student_t_logpdf(z: np.ndarray, dof: float, scale: float) -> np.ndarray:
-    const = (math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0)
-             - 0.5 * math.log(dof * math.pi) - math.log(scale))
-    return const - 0.5 * (dof + 1.0) * np.log1p((z / scale) ** 2 / dof)
-
-
 def transition_mean(model, x_prev: np.ndarray) -> np.ndarray:
     """Conditional mean of X_t given X_{t-1} = x_prev; batched over rows."""
-    if isinstance(model, LinearGaussianSSM):
-        return x_prev @ model.F.T
-    if isinstance(model, ChaoticRNNModel):
-        return model.drift(x_prev)
-    if isinstance(model, ResidualNonlinearSSM):
-        return x_prev + mlp.forward(model.f_net, x_prev)
-    raise TypeError(f"unknown model type {type(model)}")
+    return model.transition_mean(x_prev)
 
 
 def log_m(model, x_prev, x, t: int) -> float:
     """Transition log-density; at t=0 the initial log-density of x."""
     x = np.asarray(x, dtype=np.float64)
     if t == 0:
-        if isinstance(model, LinearGaussianSSM):
-            return _iso_gauss_logpdf(x - model.mu0, model.q0_var)
-        if isinstance(model, ChaoticRNNModel):
-            return _iso_gauss_logpdf(x, model.q_var)
-        if isinstance(model, ResidualNonlinearSSM):
-            return _iso_gauss_logpdf(x, 1.0)
-        raise TypeError(f"unknown model type {type(model)}")
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    resid = x - transition_mean(model, x_prev)
-    if isinstance(model, LinearGaussianSSM):
-        return _iso_gauss_logpdf(resid, model.q_var)
-    if isinstance(model, ChaoticRNNModel):
-        return _iso_gauss_logpdf(resid, model.q_var)
-    if isinstance(model, ResidualNonlinearSSM):
-        return float(np.sum(-0.5 * (LOG_2PI + np.log(model.q_diag))
-                            - 0.5 * resid * resid / model.q_diag))
-    raise TypeError(f"unknown model type {type(model)}")
+        return float(_gauss_logpdf(x - model.init_mean, model.init_var))
+    resid = x - transition_mean(model, np.asarray(x_prev, dtype=np.float64))
+    return float(_gauss_logpdf(resid, model.q))
+
+
+def _observed(y) -> tuple[np.ndarray, np.ndarray]:
+    """y as float64 and the mask of its observed (non-NaN) entries."""
+    y = np.asarray(y, dtype=np.float64)
+    return y, ~np.isnan(y)
 
 
 def log_g(model, x, y, t: int = 0) -> float:
     """Emission log-density; NaN entries of y are missing and contribute 0."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    valid = ~np.isnan(y)
+    y, valid = _observed(y)
     if not np.any(valid):
         return 0.0
-    if isinstance(model, LinearGaussianSSM):
-        resid = (y - model.G @ x)[valid]
-        k = int(valid.sum())
-        return float(-0.5 * k * (LOG_2PI + math.log(model.r_var))
-                     - 0.5 * np.sum(resid * resid) / model.r_var)
-    if isinstance(model, ChaoticRNNModel):
-        z = (y - x)[valid]
-        return float(np.sum(_student_t_logpdf(z, model.t_dof, model.t_scale)))
-    if isinstance(model, ResidualNonlinearSSM):
-        resid = (y - mlp.forward(model.g_net, x))[valid]
-        r = model.r_diag[valid]
-        return float(np.sum(-0.5 * (LOG_2PI + np.log(r)) - 0.5 * resid * resid / r))
-    raise TypeError(f"unknown model type {type(model)}")
+    return float(model.log_g_pair(np.asarray(x, dtype=np.float64), y, valid))
 
 
 # ---------------------------------------------------------------------------
@@ -321,50 +435,13 @@ def log_g(model, x, y, t: int = 0) -> float:
 
 def grad_theta_log_joint_pair(model, x_prev, x, y, t: int) -> np.ndarray:
     """Gradient of log_m(x_prev, x, t) + log_g(x, y, t) in the flat theta."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    valid = ~np.isnan(y)
+    y, valid = _observed(y)
+    x_prev = np.asarray(x_prev, dtype=np.float64) if t > 0 else None
     lay = theta_layout(model)
     grad = np.zeros(lay.total)
-
-    if isinstance(model, LinearGaussianSSM):
-        if t > 0:
-            x_prev = np.asarray(x_prev, dtype=np.float64)
-            resid = x - model.F @ x_prev
-            lay.view(grad, "F")[:] = np.outer(resid / model.q_var, x_prev)
-        gv = lay.view(grad, "G")
-        resid_y = y - model.G @ x
-        for k in np.nonzero(valid)[0]:
-            gv[k] = (resid_y[k] / model.r_var) * x
-        return grad
-
-    if isinstance(model, ChaoticRNNModel):
-        if t > 0:
-            x_prev = np.asarray(x_prev, dtype=np.float64)
-            push = model.gamma * (model.W @ np.tanh(x_prev))
-            mean = x_prev + (model.delta / model.rho) * (push - x_prev)
-            resid = (x - mean) / model.q_var
-            d_gamma = (model.delta / model.rho) * (model.W @ np.tanh(x_prev))
-            d_rho = -(model.delta / model.rho**2) * (push - x_prev)
-            lay.view(grad, "rho")[...] = resid @ d_rho
-            lay.view(grad, "gamma")[...] = resid @ d_gamma
-        return grad
-
-    if isinstance(model, ResidualNonlinearSSM):
-        if t > 0:
-            x_prev = np.asarray(x_prev, dtype=np.float64)
-            resid = x - x_prev - mlp.forward(model.f_net, x_prev)
-            lay.view(grad, "f_net")[:] = mlp.vjp_params(
-                model.f_net, x_prev, resid / model.q_diag)
-            lay.view(grad, "log_q_diag")[:] = -0.5 + 0.5 * resid * resid / model.q_diag
-        resid_y = y - mlp.forward(model.g_net, x)
-        cot = np.where(valid, resid_y / model.r_diag, 0.0)
-        lay.view(grad, "g_net")[:] = mlp.vjp_params(model.g_net, x, cot)
-        lay.view(grad, "log_r_diag")[:] = np.where(
-            valid, -0.5 + 0.5 * resid_y * resid_y / model.r_diag, 0.0)
-        return grad
-
-    raise TypeError(f"unknown model type {type(model)}")
+    for name, value in model.grad_pair(x_prev, np.asarray(x, dtype=np.float64), y, valid).items():
+        lay.view(grad, name)[...] = value
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -374,33 +451,12 @@ def grad_theta_log_joint_pair(model, x_prev, x, y, t: int) -> np.ndarray:
 
 def log_init_batch(model, xs: np.ndarray) -> np.ndarray:
     """log chi(xs[i]) for a batch of initial states."""
-    if isinstance(model, LinearGaussianSSM):
-        diff = xs - model.mu0
-        var = model.q0_var
-    elif isinstance(model, ChaoticRNNModel):
-        diff = xs
-        var = model.q_var
-    elif isinstance(model, ResidualNonlinearSSM):
-        diff = xs
-        var = 1.0
-    else:
-        raise TypeError(f"unknown model type {type(model)}")
-    d = xs.shape[1]
-    return -0.5 * d * (LOG_2PI + math.log(var)) - 0.5 * np.sum(diff * diff, axis=-1) / var
+    return _gauss_logpdf(xs - model.init_mean, model.init_var)
 
 
-def _transition_noise(model):
-    """Transition noise variance (scalar or per coordinate) and log normalizer."""
-    if isinstance(model, ResidualNonlinearSSM):
-        q = model.q_diag
-        return q, float(np.sum(-0.5 * (LOG_2PI + np.log(q))))
-    return model.q_var, -0.5 * model.d_x * (LOG_2PI + math.log(model.q_var))
-
-
-def _gauss_resid_logpdf(model, diff: np.ndarray) -> np.ndarray:
-    """Transition log-density from residuals, summing the last axis."""
-    q, const = _transition_noise(model)
-    return const - 0.5 * np.sum(diff * diff / q, axis=-1)
+def _log_normalizer(model) -> float:
+    """The transition log-density at a zero residual."""
+    return float(_gauss_logpdf(np.zeros(model.d_x), model.q))
 
 
 def transition_rows(model, xs_prev: np.ndarray, xs_new: np.ndarray,
@@ -416,7 +472,7 @@ def transition_rows(model, xs_prev: np.ndarray, xs_new: np.ndarray,
     """
     mean = transition_mean(model, xs_prev)                 # (n_prev, d)
     d = mean.shape[1]
-    q, const = _transition_noise(model)
+    q, const = model.q, _log_normalizer(model)
     inv_sd = 1.0 / np.sqrt(q)
     rows_new = np.empty((xs_new.shape[0], d + 2))
     rows_new[:, :d] = xs_new * inv_sd
@@ -452,28 +508,15 @@ def log_m_gathered(model, means_prev: np.ndarray, idx: np.ndarray,
     (n, m) integer draws; returns shape (n, m).
     """
     diff = xs_new[:, None, :] - means_prev[idx]
-    return _gauss_resid_logpdf(model, diff)
+    return _log_normalizer(model) - 0.5 * np.sum(diff * diff / model.q, axis=-1)
 
 
 def log_g_batch(model, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """log g(xs[i], y) for a batch of states; NaN entries of y masked."""
-    y = np.asarray(y, dtype=np.float64)
-    valid = ~np.isnan(y)
+    y, valid = _observed(y)
     if not np.any(valid):
         return np.zeros(xs.shape[0])
-    if isinstance(model, LinearGaussianSSM):
-        resid = y[valid][None, :] - (xs @ model.G.T)[:, valid]
-        k = int(valid.sum())
-        return (-0.5 * k * (LOG_2PI + math.log(model.r_var))
-                - 0.5 * np.sum(resid * resid, axis=-1) / model.r_var)
-    if isinstance(model, ChaoticRNNModel):
-        z = y[valid][None, :] - xs[:, valid]
-        return np.sum(_student_t_logpdf(z, model.t_dof, model.t_scale), axis=-1)
-    if isinstance(model, ResidualNonlinearSSM):
-        resid = y[valid][None, :] - mlp.forward(model.g_net, xs)[:, valid]
-        r = model.r_diag[valid]
-        return np.sum(-0.5 * (LOG_2PI + np.log(r)) - 0.5 * resid * resid / r, axis=-1)
-    raise TypeError(f"unknown model type {type(model)}")
+    return model.log_g_rows(xs, y, valid)
 
 
 def grad_theta_pair_rows(model, xs_prev: np.ndarray, carried: np.ndarray) -> np.ndarray:
@@ -486,25 +529,24 @@ def grad_theta_pair_rows(model, xs_prev: np.ndarray, carried: np.ndarray) -> np.
     under the cotangents mean / q).  ``grad_theta_pair_finish`` turns
     coeff @ rows into the contracted gradients.
     """
-    if isinstance(model, LinearGaussianSSM):
-        feats = [gaussian.suff_stat_rows(xs_prev)]
-    elif isinstance(model, ChaoticRNNModel):
-        th = np.tanh(xs_prev)
-        push = model.gamma * (th @ model.W.T)               # (n_prev, d)
-        mean = xs_prev + (model.delta / model.rho) * (push - xs_prev)
-        d_gamma = (model.delta / model.rho) * (th @ model.W.T)
-        d_rho = -(model.delta / model.rho**2) * (push - xs_prev)
-        feats = [d_rho, d_gamma, np.einsum("jd,jd->j", mean, d_rho)[:, None],
-                 np.einsum("jd,jd->j", mean, d_gamma)[:, None]]
-    elif isinstance(model, ResidualNonlinearSSM):
-        f_out, f_acts = mlp.forward_cached(model.f_net, xs_prev)
-        mean = xs_prev + f_out
-        feats = [mean, mean * mean, np.ones((mean.shape[0], 1)),
-                 mlp.vjp_params_cross_rows(model.f_net, None, mean / model.q_diag,
-                                           acts=f_acts)]
-    else:
-        raise TypeError(f"unknown model type {type(model)}")
-    return np.concatenate([carried, *feats], axis=1)
+    return np.concatenate([carried, *model.pair_features(xs_prev)], axis=1)
+
+
+def _add_blocks(lay: ParamLayout, out: np.ndarray, blocks: dict) -> np.ndarray:
+    """Add each named block of per-row gradients into its columns of ``out``."""
+    for name, rows in blocks.items():
+        spec = lay.by_name[name]
+        out[:, spec.offset:spec.offset + spec.size] += rows
+    return out
+
+
+def _add_emission(model, lay: ParamLayout, out: np.ndarray, xs: np.ndarray, y,
+                  scale: np.ndarray) -> np.ndarray:
+    """Add scale_i * grad_theta log g(xs[i], y) to the rows ``out``."""
+    y, valid = _observed(y)
+    if np.any(valid):
+        _add_blocks(lay, out, model.emission_grad(xs, y, valid, scale))
+    return out
 
 
 def grad_theta_pair_finish(model, xs_new: np.ndarray, y: np.ndarray,
@@ -513,66 +555,13 @@ def grad_theta_pair_finish(model, xs_new: np.ndarray, y: np.ndarray,
 
     Row i is sum_j coeff[i, j] * (carried[j] + grad_theta(log m(x_j, x_i)
     + log g(x_i, y))), shape (n_new, dim_theta).  The emission term is
-    constant in j, so it enters scaled by the row sums.
+    constant in j, so it enters scaled by the row sums, which the model's
+    ``pair_finish`` returns with the transition term.
     """
     lay = theta_layout(model)
-    y = np.asarray(y, dtype=np.float64)
-    valid = ~np.isnan(y)
-    n_new, d = xs_new.shape
-    out = sums[:, :lay.total].copy()
-    sums = sums[:, lay.total:]
-
-    if isinstance(model, LinearGaussianSSM):
-        # transition: sum_j c_ij (x_i - F x_j) x_j' / q
-        sx = sums[:, :d]
-        sxx = sums[:, d:-1].reshape(n_new, d, d)
-        row_sum = sums[:, -1]
-        gF = (np.einsum("id,ie->ide", xs_new, sx) - np.einsum("de,ief->idf", model.F, sxx))
-        f_spec = lay.by_name["F"]
-        out[:, f_spec.offset:f_spec.offset + f_spec.size] += (
-            gF.reshape(n_new, -1) / model.q_var)
-        # emission: row_sum_i * (y - G x_i) x_i' / r on valid coords
-        if np.any(valid):
-            resid_y = np.where(valid, y[None, :] - xs_new @ model.G.T, 0.0)
-            gG = np.einsum("i,ik,id->ikd", row_sum, resid_y / model.r_var, xs_new)
-            g_spec = lay.by_name["G"]
-            out[:, g_spec.offset:g_spec.offset + g_spec.size] += gG.reshape(n_new, -1)
-        return out
-
-    if isinstance(model, ChaoticRNNModel):
-        # sum_j c_ij (x_i - mean_j) . dmean_j = x_i . (c @ dmean)_i - (c @ (mean . dmean))_i
-        out[:, lay.by_name["rho"].offset] += (
-            np.einsum("id,id->i", xs_new, sums[:, :d]) - sums[:, 2 * d]) / model.q_var
-        out[:, lay.by_name["gamma"].offset] += (
-            np.einsum("id,id->i", xs_new, sums[:, d:2 * d]) - sums[:, 2 * d + 1]) / model.q_var
-        return out
-
-    if isinstance(model, ResidualNonlinearSSM):
-        # the cotangent of pair (i, j) is c_ij (x_i - mean_j) / q
-        q = model.q_diag
-        f_spec = lay.by_name["f_net"]
-        out[:, f_spec.offset:f_spec.offset + f_spec.size] += mlp.vjp_params_cross_finish(
-            xs_new / q, sums[:, 2 * d + 1:])
-        # sum_j c_ij (-1/2 + (x_i - mean_j)^2 / (2 q)) from c @ [mean, mean^2, 1]
-        row_sum = sums[:, 2 * d]
-        q_spec = lay.by_name["log_q_diag"]
-        out[:, q_spec.offset:q_spec.offset + q_spec.size] += (
-            -0.5 * row_sum[:, None]
-            + 0.5 * (xs_new * xs_new * row_sum[:, None] - 2.0 * xs_new * sums[:, :d]
-                     + sums[:, d:2 * d]) / q)
-        if np.any(valid):
-            g_out, g_acts = mlp.forward_cached(model.g_net, xs_new)
-            resid_y = np.where(valid, y[None, :] - g_out, 0.0)
-            cot_g = row_sum[:, None] * resid_y / model.r_diag
-            g_spec = lay.by_name["g_net"]
-            out[:, g_spec.offset:g_spec.offset + g_spec.size] += mlp.vjp_params_batched(
-                model.g_net, xs_new, cot_g, acts=g_acts)
-            r_spec = lay.by_name["log_r_diag"]
-            out[:, r_spec.offset:r_spec.offset + r_spec.size] += (
-                row_sum[:, None] * np.where(valid, -0.5 + 0.5 * resid_y * resid_y / model.r_diag, 0.0))
-        return out
-
-    raise TypeError(f"unknown model type {type(model)}")
+    transition, row_sum = model.pair_finish(xs_new, sums[:, lay.total:])
+    out = _add_blocks(lay, sums[:, :lay.total].copy(), transition)
+    return _add_emission(model, lay, out, xs_new, y, row_sum)
 
 
 def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
@@ -594,32 +583,9 @@ def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
 
 def grad_theta_emission_batch(model, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-particle gradient of log g(xs[i], y); NaN entries of y masked."""
-    n = xs.shape[0]
     lay = theta_layout(model)
-    out = np.zeros((n, lay.total))
-    y = np.asarray(y, dtype=np.float64)
-    valid = ~np.isnan(y)
-    if not np.any(valid):
-        return out
-    if isinstance(model, LinearGaussianSSM):
-        resid_y = np.where(valid, y[None, :] - xs @ model.G.T, 0.0)
-        gg = np.einsum("ik,id->ikd", resid_y / model.r_var, xs)
-        g_spec = lay.by_name["G"]
-        out[:, g_spec.offset:g_spec.offset + g_spec.size] = gg.reshape(n, -1)
-        return out
-    if isinstance(model, ChaoticRNNModel):
-        return out
-    if isinstance(model, ResidualNonlinearSSM):
-        g_out, g_acts = mlp.forward_cached(model.g_net, xs)
-        resid_y = np.where(valid, y[None, :] - g_out, 0.0)
-        g_spec = lay.by_name["g_net"]
-        out[:, g_spec.offset:g_spec.offset + g_spec.size] = mlp.vjp_params_batched(
-            model.g_net, xs, resid_y / model.r_diag, acts=g_acts)
-        r_spec = lay.by_name["log_r_diag"]
-        out[:, r_spec.offset:r_spec.offset + r_spec.size] = np.where(
-            valid, -0.5 + 0.5 * resid_y * resid_y / model.r_diag, 0.0)
-        return out
-    raise TypeError(f"unknown model type {type(model)}")
+    return _add_emission(model, lay, np.zeros((xs.shape[0], lay.total)), xs, y,
+                         np.ones(xs.shape[0]))
 
 
 def grad_theta_init_batch(model, xs: np.ndarray, y0: np.ndarray) -> np.ndarray:
@@ -634,33 +600,6 @@ def grad_theta_init_batch(model, xs: np.ndarray, y0: np.ndarray) -> np.ndarray:
 def grad_theta_transition_pairs(model, xs_prev: np.ndarray,
                                 xs_new: np.ndarray) -> np.ndarray:
     """Per-pair transition gradients for matched rows; shape (k, dim_theta)."""
-    k = xs_prev.shape[0]
     lay = theta_layout(model)
-    out = np.zeros((k, lay.total))
-    if isinstance(model, LinearGaussianSSM):
-        resid = (xs_new - xs_prev @ model.F.T) / model.q_var
-        gf = np.einsum("kd,ke->kde", resid, xs_prev)
-        f_spec = lay.by_name["F"]
-        out[:, f_spec.offset:f_spec.offset + f_spec.size] = gf.reshape(k, -1)
-        return out
-    if isinstance(model, ChaoticRNNModel):
-        th = np.tanh(xs_prev)
-        push = model.gamma * (th @ model.W.T)
-        mean = xs_prev + (model.delta / model.rho) * (push - xs_prev)
-        resid = (xs_new - mean) / model.q_var
-        d_gamma = (model.delta / model.rho) * (th @ model.W.T)
-        d_rho = -(model.delta / model.rho**2) * (push - xs_prev)
-        out[:, lay.by_name["rho"].offset] = np.sum(resid * d_rho, axis=-1)
-        out[:, lay.by_name["gamma"].offset] = np.sum(resid * d_gamma, axis=-1)
-        return out
-    if isinstance(model, ResidualNonlinearSSM):
-        f_out, f_acts = mlp.forward_cached(model.f_net, xs_prev)
-        resid = xs_new - xs_prev - f_out
-        f_spec = lay.by_name["f_net"]
-        out[:, f_spec.offset:f_spec.offset + f_spec.size] = mlp.vjp_params_batched(
-            model.f_net, xs_prev, resid / model.q_diag, acts=f_acts)
-        q_spec = lay.by_name["log_q_diag"]
-        out[:, q_spec.offset:q_spec.offset + q_spec.size] = (
-            -0.5 + 0.5 * resid * resid / model.q_diag)
-        return out
-    raise TypeError(f"unknown model type {type(model)}")
+    return _add_blocks(lay, np.zeros((xs_prev.shape[0], lay.total)),
+                       model.transition_grad_pairs(xs_prev, xs_new))

@@ -345,45 +345,3 @@ def exact_conjugate_mode(lgssm, filter_output) -> ConjugateSequence:
     eta2 = -0.5 * (lgssm.F.T @ lgssm.F) / lgssm.q_var
     pot = AffinePotential(lin=lin, const=np.zeros(lgssm.d_x), eta2=eta2)
     return ConjugateSequence(etas=etas, potentials=[pot] * (len(etas) - 1))
-
-
-# ---------------------------------------------------------------------------
-# Non-amortized slots (per-step parameters, comparison mode)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class NonAmortizedSlot:
-    """Per-time-step variational parameters when nothing is shared over time.
-
-    The marginal is stored in raw coordinates (same transform as the
-    amortized heads) so gradient updates preserve validity.
-    """
-
-    raw_marginal: np.ndarray
-    pot_net_t: mlp.MLPParams
-    d_x: int
-
-    @property
-    def eta_t(self) -> GaussianNatural:
-        eta1, eta2 = raw_to_natural(self.raw_marginal, self.d_x, MARGINAL_EPS)
-        return GaussianNatural(eta1=eta1, eta2=eta2)
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.raw_marginal, self.pot_net_t.pack()])
-
-    def unpack(self, flat: np.ndarray) -> "NonAmortizedSlot":
-        p = self.raw_marginal.size
-        return NonAmortizedSlot(raw_marginal=flat[:p].copy(),
-                                pot_net_t=self.pot_net_t.unpack(flat[p:]),
-                                d_x=self.d_x)
-
-
-def init_slot(rng: np.random.Generator, d_x: int, pot_hidden: tuple[int, ...] = (100,),
-              scale: float = 0.5) -> NonAmortizedSlot:
-    p = raw_dim(d_x)
-    return NonAmortizedSlot(
-        raw_marginal=np.zeros(p),
-        pot_net_t=mlp.init_mlp(rng, [d_x, *pot_hidden, p], scale=scale),
-        d_x=d_x,
-    )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
-from streamvi import engine
+from streamvi import engine, gaussian
 from streamvi.gaussian import GaussianNatural
 
 
@@ -120,7 +120,7 @@ class TestPotentialBound:
             pot_eta2 = -np.einsum("nij,nkj->nik", a, a)   # negative semi-definite
         eps_plus = eps_minus + width
         bound = engine._potential_bound(pot_eta1, pot_eta2, xs, eps_minus, eps_plus)
-        pot = np.clip(engine.potential_cross(pot_eta1, pot_eta2, xs), eps_minus, eps_plus)
+        pot = np.clip(gaussian.inner_cross(pot_eta1, pot_eta2, xs), eps_minus, eps_plus)
         # rounding of the two evaluations
         scale = (1.0 + np.abs(pot_eta1) @ np.abs(xs).max(axis=0)
                  + np.abs(pot_eta2).sum(axis=(1, 2)) * np.max(xs**2))
@@ -139,7 +139,7 @@ class TestPotentialBound:
 class TestAcceptRejectRows:
     def test_fallback_samples_clamped_potential(self):
         cfg, cloud, kernel = hard_kernel(8, slopes=[20.0, 14.0, 25.0], log_eps_minus=-1.5)
-        pot = np.clip(engine.potential_cross(kernel.pot_eta1, kernel.pot_eta2, cloud.xi),
+        pot = np.clip(gaussian.inner_cross(kernel.pot_eta1, kernel.pot_eta2, cloud.xi),
                       cfg.log_eps_minus, cfg.log_eps_plus)
         assert np.any(pot == cfg.log_eps_minus)   # the clamp binds
         wmat = engine.weight_matrix(cloud, kernel, cfg)

@@ -158,7 +158,7 @@ def check_update_statistics(make_model, n_prev, n_new, center, clip, g_dtype="fl
     bounds = None
     if clip:
         # bounds at the potentials' quartiles, so both clamps bind where n_prev > 1
-        pot = engine.potential_cross(*runner.potential_batch(xi_new)[:2], cloud.xi)
+        pot = gaussian.inner_cross(*runner.potential_batch(xi_new)[:2], cloud.xi)
         lo, hi = np.quantile(pot, [0.25, 0.75])
         bounds = (lo, hi) if lo < hi else (lo - 1.0, lo + 1.0)
         config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,

@@ -232,18 +232,6 @@ class TestGradPhiLogBackward:
         assert np.all(np.abs(mean) < 4.0 * np.maximum(stderr, 1e-12))
 
 
-class TestGradThetaHtilde:
-    def test_equals_model_gradient(self):
-        rng = np.random.default_rng(17)
-        from streamvi import models
-        m = models.LinearGaussianSSM(F=0.5 * np.eye(2), G=np.eye(2))
-        params = random_params(rng)
-        x_prev, x, y = rng.standard_normal((3, 2))
-        got = gr.grad_theta_htilde(m, params, x_prev, x, y, 1)
-        want = models.grad_theta_log_joint_pair(m, x_prev, x, y, 1)
-        np.testing.assert_array_equal(got, want)
-
-
 class TestTruncatedValueConsistency:
     def test_value_matches_direct_evaluation(self):
         rng = np.random.default_rng(18)

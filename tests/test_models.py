@@ -237,6 +237,43 @@ class TestBatchedVariants:
                 want = models.grad_theta_log_joint_pair(m, None, xs[i], y0, 0)
                 np.testing.assert_allclose(got[i], want, rtol=1e-9, atol=1e-10)
 
+    # an observation with every coordinate missing goes through the one
+    # masking path that all three classes share
+
+    @pytest.mark.parametrize("maker", [make_lgssm, make_chaotic, make_residual])
+    def test_all_missing_log_g_batch_is_zero(self, maker):
+        rng = np.random.default_rng(30)
+        m = maker(rng)
+        got = models.log_g_batch(m, rng.standard_normal((5, m.d_x)), np.full(m.d_y, np.nan))
+        np.testing.assert_array_equal(got, np.zeros(5))
+
+    @pytest.mark.parametrize("maker", [make_lgssm, make_chaotic, make_residual])
+    def test_all_missing_init_batch_matches_loop(self, maker):
+        rng = np.random.default_rng(31)
+        m = maker(rng)
+        xs = rng.standard_normal((4, m.d_x))
+        y0 = np.full(m.d_y, np.nan)
+        got = models.grad_theta_init_batch(m, xs, y0)
+        for i in range(4):
+            want = models.grad_theta_log_joint_pair(m, None, xs[i], y0, 0)
+            np.testing.assert_allclose(got[i], want, rtol=1e-9, atol=1e-10)
+
+    @pytest.mark.parametrize("maker", [make_lgssm, make_chaotic, make_residual])
+    def test_all_missing_pair_contract_matches_loop(self, maker):
+        rng = np.random.default_rng(32)
+        m = maker(rng)
+        n_new, n_prev = 3, 4
+        xp = rng.standard_normal((n_prev, m.d_x))
+        xn = rng.standard_normal((n_new, m.d_x))
+        y = np.full(m.d_y, np.nan)
+        coeff = rng.uniform(0.1, 1.0, (n_new, n_prev))
+        coeff /= coeff.sum(axis=1, keepdims=True)
+        got = models.grad_theta_pair_contract(m, xp, xn, y, 1, coeff)
+        for i in range(n_new):
+            want = sum(coeff[i, j] * models.grad_theta_log_joint_pair(m, xp[j], xn[i], y, 1)
+                       for j in range(n_prev))
+            np.testing.assert_allclose(got[i], want, rtol=1e-9, atol=1e-10)
+
 
 class TestThetaViews:
     def test_round_trip(self):

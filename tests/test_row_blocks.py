@@ -68,7 +68,7 @@ def update_pieces(kind, n_prev, n_new, clip, center, seed, g_dtype="float64"):
     kernel = engine.build_kernel(runner, xi_new)
     if clip:
         # bounds at the potentials' quartiles, so both clamps bind where n_prev > 1
-        pot = engine.potential_cross(kernel.pot_eta1, kernel.pot_eta2, state.cloud.xi)
+        pot = gaussian.inner_cross(kernel.pot_eta1, kernel.pot_eta2, state.cloud.xi)
         lo, hi = np.quantile(pot, [0.25, 0.75])
         lo, hi = (lo, hi) if lo < hi else (lo - 1.0, lo + 1.0)
         config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,

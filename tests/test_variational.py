@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from streamvi import gaussian, layout, models, oracle, variational as var
+from streamvi import gaussian, models, oracle, variational as var
 from streamvi.errors import BadBounds, ModelMismatch
 
 
@@ -289,29 +289,3 @@ class TestExactConjugateMode:
         means = np.array(means[::-1])
         mc_err = 4.0 * np.sqrt(np.array([c[0, 0] for c in sm.smooth_cov]) / n)
         assert np.all(np.abs(means[:, 0] - sm.smooth_mean[:, 0]) < mc_err + 4e-2)
-
-
-class TestCheckpointFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(20)
-        p = make_params(rng)
-        flat = var.get_phi(p)
-        lay = var.var_layout(p)
-        path = str(tmp_path / "ckpt")
-        layout.save_checkpoint(path, flat, lay)
-        flat2, lay2 = layout.load_checkpoint(path)
-        np.testing.assert_array_equal(flat, flat2)
-        assert lay2.names() == lay.names()
-        p2 = var.with_phi(p, flat2)
-        np.testing.assert_array_equal(p2.W, p.W)
-        np.testing.assert_array_equal(p2.head_marginal.pack(), p.head_marginal.pack())
-
-
-class TestNonAmortizedSlot:
-    def test_pack_round_trip_and_validity(self):
-        rng = np.random.default_rng(21)
-        slot = var.init_slot(rng, d_x=2, pot_hidden=(10,))
-        flat = slot.pack()
-        slot2 = slot.unpack(flat + 0.01)
-        slot2.eta_t.chol_precision()  # still valid by construction
-        np.testing.assert_array_equal(slot2.pack(), flat + 0.01)
