@@ -11,10 +11,11 @@ clipping on, to the clamped potential.
 One statistic update serves both routes; they differ only in the
 weights W_ij of new particle i over the previous particles j:
 
-- full weights: W dense, the exact N x N weights, O(N^2) per step;
+- full weights: W dense, the exact N x N weights, O(N^2) per step, with
+  the plain g-bracket;
 - backward sampling: W sparse, 1/M at (i, idx_im) for M index draws per
   row shared by the three statistics, with the g-bracket centered by the
-  freshly computed h statistic by default.  Indices come either from the
+  freshly computed h statistic.  Indices come either from the
   explicit categorical rows, which needs the N x N weights, or by
   accept-reject: uniform proposals accepted against a per-row upper
   bound on the clamped potential, with a draw still pending after N
@@ -43,9 +44,8 @@ theta rows fill the block's rows of the new statistics.  Everything on
 the previous-particle side is built once per step.  So a step holds
 the weights, the bracket and, for a float32 g, the weights cast to
 float32: block-sized arrays that the runner keeps across steps, and no
-N x N array;
-only the categorical draws and ``keep_weights`` assemble the whole
-weight matrix, block by block.
+N x N array; only the categorical draws assemble the whole weight
+matrix, block by block (``weight_matrix``).
 
 Precision: the carried phi statistic g is stored, gathered and
 multiplied in ``EngineConfig.g_dtype``, float32 by default.  Everything
@@ -65,7 +65,7 @@ setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class EngineConfig:
     method: str = "full"            # full | categorical | accept_reject
     m_backward: int = 2
     cv_grad_phi: bool = True        # center h in the final phi-gradient estimator
-    cv_gstat: bool | None = None    # center the g-bracket; default on for sampled modes
     clip_enabled: bool = False
     log_eps_minus: float = -30.0
     log_eps_plus: float = 30.0
@@ -107,12 +106,6 @@ class EngineConfig:
         if not self.log_eps_minus < self.log_eps_plus:
             raise BadBounds(f"need log_eps_minus < log_eps_plus, got "
                             f"({self.log_eps_minus}, {self.log_eps_plus})")
-
-    @property
-    def gstat_centered(self) -> bool:
-        if self.cv_gstat is None:
-            return self.method != "full"
-        return self.cv_gstat
 
 
 @dataclass
@@ -184,6 +177,8 @@ class AmortizedRunner:
 
     def __init__(self, params: var.AmortizerParams, window: int = 2,
                  compute_grads: bool = True):
+        if window < 0:
+            raise ValueError(f"window must be >= 0, got {window}")
         self.params = params
         self.window = window
         self.compute_grads = compute_grads
@@ -207,31 +202,23 @@ class AmortizedRunner:
         # so the amortizer reads U[:, valid] @ y[valid]; the models mask them.
         y_t = np.array(y_t, dtype=np.float64)
         y_t[np.isnan(y_t)] = 0.0
-        self.hist.append((self.a_live.copy(), y_t))
+        first = self.chain_cur is None
+        a_prev = self.a_live
+        self.hist.append((a_prev.copy(), y_t))
         if len(self.hist) > self.window + 1:
             self.hist.pop(0)
-        self.a_live = var.advance(self.params, var.AmortizerState(a=self.a_live), y_t).a
-        ys = [y for _, y in self.hist]
-        boundaries = [a for a, _ in self.hist]
-        k = min(self.window, len(self.hist)) if self.window > 0 else 0
-        if k > 0:
-            self.chain_cur = gradients.marginal_chain(
-                self.params, boundaries[-k], ys[-k:], self.compute_grads)
-        else:
-            self.chain_cur = gradients.marginal_chain(
-                self.params, self.a_live, [], self.compute_grads)
-        if len(self.hist) >= 2:
-            prev_hist = self.hist[:-1]
-            kp = min(self.window, len(prev_hist)) if self.window > 0 else 0
-            if kp > 0:
-                self.chain_prev = gradients.marginal_chain(
-                    self.params, prev_hist[-kp][0], [y for _, y in prev_hist[-kp:]],
-                    self.compute_grads)
-            else:
-                self.chain_prev = gradients.marginal_chain(
-                    self.params, prev_hist[-1][0], [], self.compute_grads)
-        else:
-            self.chain_prev = None
+        self.a_live = var.advance(self.params, var.AmortizerState(a=a_prev), y_t).a
+        self.chain_cur = self._chain(self.a_live, self.hist)
+        self.chain_prev = None if first else self._chain(a_prev, self.hist[:-1])
+
+    def _chain(self, a_end: np.ndarray, hist: list) -> gradients.MarginalChain:
+        """The chain of the state ``a_end`` that ``hist`` ends at: its last
+        ``window`` updates re-run, or with none the head at ``a_end``."""
+        k = min(self.window, len(hist))
+        if k == 0:
+            return gradients.marginal_chain(self.params, a_end, [], self.compute_grads)
+        return gradients.marginal_chain(self.params, hist[-k][0], [y for _, y in hist[-k:]],
+                                        self.compute_grads)
 
     def current_eta(self) -> GaussianNatural:
         return GaussianNatural(eta1=self.chain_cur.eta1, eta2=self.chain_cur.eta2)
@@ -465,24 +452,22 @@ def _checked_cloud(runner, xi: np.ndarray, log_q: np.ndarray, t: int, h: np.ndar
 
 
 def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runner,
-                      y_t: np.ndarray, t: int, kernel: KernelBatch, log_q_new: np.ndarray,
-                      config: EngineConfig, kept: np.ndarray | None = None) -> ParticleCloud:
+                      y_t: np.ndarray, kernel: KernelBatch, log_q_new: np.ndarray,
+                      config: EngineConfig) -> ParticleCloud:
     """Full O(N^2) self-normalized update of all three statistics.
 
     One loop over blocks of new-particle rows (``row_blocks``).  Per block:
     ``block_weights`` gives the weights w; the bracket of ``pair_terms``'
     feature rows (h_prev included), times w, in one product with
     [x_j, vec(x_j x_j'), 1] gives the weighted first and second moments
-    that contract the kernel scores, and h_new as its last column;
-    centering the g-bracket by h_new subtracts h_new * (w @ T); w, cast
+    that contract the kernel scores, and h_new as its last column; w, cast
     to g's dtype, times g_prev goes straight into the new g's rows; and
     one product of w with ``models.grad_theta_pair_rows`` (the carried f
     first) gives the theta side.  ``_finish_update``, shared with the
     sampled route, completes the step.  The previous-particle rows are
     built once per step.  The block arrays (the weights, the bracket and the
     cast weights), the moments and the theta sums are the runner's work
-    arrays, reused across steps; only h, g and f are new.  ``kept``, an
-    (N_new, N_prev) array, receives the weights if given.
+    arrays, reused across steps; only h, g and f are new.
     """
     n_new = xi_new.shape[0]
     n_prev = cloud_prev.n
@@ -507,36 +492,34 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
 
     for rows in blocks:
         size = rows.stop - rows.start
-        w = block_weights(cloud_prev, kernel, config, rows, stats_prev,
-                          out=cross[:size] if kept is None else kept[rows])
+        w = block_weights(cloud_prev, kernel, config, rows, stats_prev, out=cross[:size])
         cw = np.matmul(left[rows], right.T, out=bracket[:size])
         cw *= w
         block = moments[rows]
         np.matmul(cw, stats_prev, out=block)
         h_new[rows] = block[:, -1]
         if g_new is not None:
-            if config.gstat_centered:
-                block -= h_new[rows, None] * (w @ stats_prev)
             if w_g is not None:
                 w_g[:size] = w
             np.matmul(w if w_g is None else w_g[:size], g_prev, out=g_new[rows])
         if theta_rows is not None:
             np.matmul(w, theta_rows, out=theta_sums[rows])
 
-    return _finish_update(model, runner, y_t, t, xi_new, log_q_new, kernel, h_new,
+    return _finish_update(cloud_prev, model, runner, y_t, xi_new, log_q_new, kernel, h_new,
                           moments, g_new, theta_sums)
 
 
-def _finish_update(model, runner, y_t: np.ndarray, t: int, xi_new: np.ndarray,
-                   log_q_new: np.ndarray, kernel: KernelBatch, h_new: np.ndarray,
-                   moments: np.ndarray | None, g_new: np.ndarray | None,
+def _finish_update(cloud_prev: ParticleCloud, model, runner, y_t: np.ndarray,
+                   xi_new: np.ndarray, log_q_new: np.ndarray, kernel: KernelBatch,
+                   h_new: np.ndarray, moments: np.ndarray | None, g_new: np.ndarray | None,
                    theta_sums: np.ndarray | None) -> ParticleCloud:
-    """The tail of both routes: g, f and the checked cloud from weighted sums.
+    """The tail of both routes: g, f and the checked cloud of time
+    ``cloud_prev.t + 1`` from weighted sums.
 
-    ``moments`` holds sum_j c_ij [x_j, vec(x_j x_j'), 1], c the (centered)
-    bracket times the weights, which contracts the kernel scores into
-    ``g_new``, already the weighted carried g; ``theta_sums`` is the
-    weights times ``models.grad_theta_pair_rows``.
+    ``moments`` holds sum_j c_ij [x_j, vec(x_j x_j'), 1], c the bracket
+    (centered on the sampled route) times the weights, which contracts
+    the kernel scores into ``g_new``, already the weighted carried g;
+    ``theta_sums`` is the weights times ``models.grad_theta_pair_rows``.
     """
     d = xi_new.shape[1]
     if g_new is not None:
@@ -548,7 +531,7 @@ def _finish_update(model, runner, y_t: np.ndarray, t: int, xi_new: np.ndarray,
     f_new = None
     if theta_sums is not None:
         f_new = models.grad_theta_pair_finish(model, xi_new, y_t, theta_sums)
-    return _checked_cloud(runner, xi_new, log_q_new, t, h_new, g_new, f_new)
+    return _checked_cloud(runner, xi_new, log_q_new, cloud_prev.t + 1, h_new, g_new, f_new)
 
 
 def _categorical_rows(w: np.ndarray, m_draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -644,24 +627,23 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
     return idx
 
 
-def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray, m_draws: int,
+def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray,
                            rng: np.random.Generator, model, runner, y_t: np.ndarray,
-                           t: int, kernel: KernelBatch, log_q_new: np.ndarray,
-                           config: EngineConfig,
-                           wmat: WeightMatrix | None = None) -> ParticleCloud:
+                           kernel: KernelBatch, log_q_new: np.ndarray,
+                           config: EngineConfig) -> ParticleCloud:
     """O(N M) update: the full update with weight 1/M at each draw (i, idx[i, m]).
 
-    The draws are by accept-reject when ``config.method`` is
-    "accept_reject", else from the categorical rows of the weights.  The
-    bracket of ``pair_terms``' rows, the moments, the carried g and the
-    theta rows are averaged over each row's draws.
+    M is ``config.m_backward``.  The draws are by accept-reject when
+    ``config.method`` is "accept_reject", else from the categorical rows
+    of the weights.  The bracket of ``pair_terms``' rows, the moments, the
+    carried g and the theta rows are averaged over each row's draws; the
+    g-bracket is centered by the new h.
     """
+    m_draws = config.m_backward
     if config.method == "accept_reject":
         idx = _accept_reject_rows(cloud_prev, kernel, config, m_draws, rng)
     else:
-        if wmat is None:
-            wmat = weight_matrix(cloud_prev, kernel, config)
-        idx = _categorical_rows(wmat.w, m_draws, rng)
+        idx = _categorical_rows(weight_matrix(cloud_prev, kernel, config).w, m_draws, rng)
 
     stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
     left, right = pair_terms(model, cloud_prev, xi_new, y_t, kernel, stats_prev)
@@ -669,8 +651,8 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray, m_draw
     h_new = bracket.mean(axis=1)
     moments = g_new = theta_sums = None
     if cloud_prev.g_stat is not None:
-        coeff = bracket - h_new[:, None] if config.gstat_centered else bracket
-        moments = np.einsum("nm,nmk->nk", coeff / m_draws, stats_prev[idx])
+        moments = np.einsum("nm,nmk->nk", (bracket - h_new[:, None]) / m_draws,
+                            stats_prev[idx])
         g_prev = cloud_prev.g_stat
         g_new = _gather_mean(g_prev, idx,
                              runner.work.get("phi", (xi_new.shape[0], g_prev.shape[1]),
@@ -678,7 +660,7 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray, m_draw
     if cloud_prev.f_stat is not None:
         theta_sums = _gather_mean(
             models.grad_theta_pair_rows(model, cloud_prev.xi, cloud_prev.f_stat), idx)
-    return _finish_update(model, runner, y_t, t, xi_new, log_q_new, kernel, h_new,
+    return _finish_update(cloud_prev, model, runner, y_t, xi_new, log_q_new, kernel, h_new,
                           moments, g_new, theta_sums)
 
 
@@ -738,8 +720,6 @@ def estimate(cloud: ParticleCloud, use_control_variates: bool = True) -> Estimat
 class EngineState:
     cloud: ParticleCloud
     runner: object
-    t: int = 0
-    last_wmat: WeightMatrix | None = field(default=None, repr=False)
 
 
 def init_state(model, runner, y0: np.ndarray, config: EngineConfig,
@@ -756,33 +736,23 @@ def init_state(model, runner, y0: np.ndarray, config: EngineConfig,
             f"{config.truncation_window}")
     dim_theta = models.theta_layout(model).total if config.compute_grads else None
     cloud = init_cloud(model, runner, y0, config, rng, dim_theta=dim_theta)
-    return EngineState(cloud=cloud, runner=runner, t=0)
+    return EngineState(cloud=cloud, runner=runner)
 
 
 def step(state: EngineState, y_t: np.ndarray, model, config: EngineConfig,
-         rng: np.random.Generator, keep_weights: bool = False) -> tuple[EngineState, EstimatorOutput]:
+         rng: np.random.Generator) -> tuple[EngineState, EstimatorOutput]:
     """Advance one observation: sample, weight, update, estimate."""
     runner = state.runner
     runner.begin_step(y_t)
     eta_t = runner.current_eta()
     xi_new = gaussian.sample(eta_t, rng, config.n_particles)
     log_q_new = gaussian.log_density_cross(eta_t.eta1[None], eta_t.eta2[None], xi_new)[0]
-    t_new = state.t + 1
     kernel = build_kernel(runner, xi_new)
-    wmat = None
     if config.method == "full":
-        if keep_weights:
-            wmat = WeightMatrix(w=np.empty((xi_new.shape[0], state.cloud.n)))
-        cloud_new = update_statistics(state.cloud, xi_new, model, runner, y_t, t_new,
-                                      kernel, log_q_new, config,
-                                      kept=None if wmat is None else wmat.w)
+        cloud_new = update_statistics(state.cloud, xi_new, model, runner, y_t, kernel,
+                                      log_q_new, config)
     else:
-        if keep_weights:
-            wmat = weight_matrix(state.cloud, kernel, config)
-        cloud_new = backward_sample_update(state.cloud, xi_new, config.m_backward,
-                                           rng, model, runner, y_t, t_new, kernel,
-                                           log_q_new, config, wmat=wmat)
+        cloud_new = backward_sample_update(state.cloud, xi_new, rng, model, runner, y_t,
+                                           kernel, log_q_new, config)
     out = estimate(cloud_new, use_control_variates=config.cv_grad_phi)
-    new_state = EngineState(cloud=cloud_new, runner=runner, t=t_new,
-                            last_wmat=wmat if keep_weights else None)
-    return new_state, out
+    return EngineState(cloud=cloud_new, runner=runner), out

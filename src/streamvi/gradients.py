@@ -17,10 +17,10 @@ Two routes to the same numbers:
   expands every score row; it is kept as the reference that the tests
   check the contracted forms against.
 
-Truncated backpropagation re-executes the last ``truncation_window``
-recurrent updates from a boundary state treated as a constant; with a
-window of zero, gradients flow only through the heads, so the recurrent
-weight slices are exactly zero.
+Truncated backpropagation re-executes the last ``window`` recurrent
+updates from a boundary state treated as a constant; with a window of
+zero, gradients flow only through the heads, so the recurrent weight
+slices are exactly zero.
 
 ``fd_check`` is the independent central-difference verifier used
 throughout the test suite.
@@ -35,15 +35,6 @@ import numpy as np
 from . import mlp, tape as tp, variational as var
 from .errors import NonFiniteFunctionValue
 from .gaussian import LOG_2PI, mean_params_batch
-
-
-@dataclass
-class GradRequest:
-    truncation_window: int = 2
-
-    def __post_init__(self):
-        if self.truncation_window < 0:
-            raise ValueError("truncation_window must be >= 0")
 
 
 @dataclass
@@ -94,9 +85,7 @@ def _phi_leaves(t: tp.Tape, params: var.AmortizerParams):
     return leaves, hm, hp
 
 
-def _mlp_nodes(layer_nodes, x_node, activation: str):
-    if activation != "tanh":
-        raise NotImplementedError("tape path supports tanh hidden layers only")
+def _mlp_nodes(layer_nodes, x_node):
     h = x_node
     last = len(layer_nodes) - 1
     for i, (w, b) in enumerate(layer_nodes):
@@ -159,18 +148,18 @@ def log_marginal_truncated(params: var.AmortizerParams, a_boundary: np.ndarray,
 
 
 def grad_phi_log_marginal(params: var.AmortizerParams, a_boundary: np.ndarray,
-                          ys: list, x: np.ndarray, req: GradRequest) -> np.ndarray:
-    """d log q_t(x) / d phi through the last ``truncation_window`` updates.
+                          ys: list, x: np.ndarray, window: int) -> np.ndarray:
+    """d log q_t(x) / d phi through the last ``window`` updates.
 
     ``ys`` must hold the observations driving those updates (possibly
     fewer near the start of the stream); the state before the window is
     a constant.
     """
-    ys = list(ys)[-req.truncation_window:] if req.truncation_window else []
+    ys = list(ys)[-window:] if window else []
     t = tp.Tape()
     leaves, hm, hp = _phi_leaves(t, params)
     a = _chain_nodes(t, leaves[0], leaves[1], leaves[2], np.asarray(a_boundary), ys)
-    raw = _mlp_nodes(hm, a, params.head_marginal.activation)
+    raw = _mlp_nodes(hm, a)
     eta1, prec = _natural_nodes(t, raw, params.d_x, var.MARGINAL_EPS)
     out = _log_density_nodes(t, eta1, prec, np.asarray(x, dtype=np.float64))
     return _flat_from_leaf_grads(params, t.gradient(out, leaves))
@@ -189,21 +178,20 @@ def log_backward_truncated(params: var.AmortizerParams, a_boundary: np.ndarray,
 
 def grad_phi_log_backward(params: var.AmortizerParams, a_boundary: np.ndarray,
                           ys: list, x_t: np.ndarray, x_prev: np.ndarray,
-                          req: GradRequest) -> np.ndarray:
+                          window: int) -> np.ndarray:
     """d log q_{t-1|t}(x_t, x_prev) / d phi.
 
     The previous marginal's parameters keep their dependence on phi
     through the truncated window ending at a_{t-1}; the potential's
     dependence flows through its head at x_t.
     """
-    ys = list(ys)[-req.truncation_window:] if req.truncation_window else []
+    ys = list(ys)[-window:] if window else []
     t = tp.Tape()
     leaves, hm, hp = _phi_leaves(t, params)
     a = _chain_nodes(t, leaves[0], leaves[1], leaves[2], np.asarray(a_boundary), ys)
-    raw_m = _mlp_nodes(hm, a, params.head_marginal.activation)
+    raw_m = _mlp_nodes(hm, a)
     eta1_m, prec_m = _natural_nodes(t, raw_m, params.d_x, var.MARGINAL_EPS)
-    raw_p = _mlp_nodes(hp, t.leaf(np.asarray(x_t, dtype=np.float64)),
-                       params.head_potential.activation)
+    raw_p = _mlp_nodes(hp, t.leaf(np.asarray(x_t, dtype=np.float64)))
     eta1_p, prec_p = _natural_nodes(t, raw_p, params.d_x, 0.0, diag_softplus=False)
     out = _log_density_nodes(t, eta1_m + eta1_p, prec_m + prec_p,
                              np.asarray(x_prev, dtype=np.float64))

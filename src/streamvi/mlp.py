@@ -1,6 +1,6 @@
 """Small dense networks with hand-rolled backward passes.
 
-Hidden layers use tanh (or relu); the last layer is linear.  Besides the
+Hidden layers use tanh; the last layer is linear.  Besides the
 plain forward pass, the module provides the three backward variants the
 estimators need:
 
@@ -30,11 +30,8 @@ import numpy as np
 @dataclass
 class MLPParams:
     layers: list[tuple[np.ndarray, np.ndarray]]
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in ("tanh", "relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         for i in range(len(self.layers) - 1):
             w_next = self.layers[i + 1][0]
             w_cur = self.layers[i][0]
@@ -66,26 +63,16 @@ class MLPParams:
             )
             off += nw + nb
         assert off == flat.size
-        return MLPParams(layers=layers, activation=self.activation)
+        return MLPParams(layers=layers)
 
 
-def init_mlp(rng: np.random.Generator, sizes: list[int], scale: float = 1.0,
-             activation: str = "tanh") -> MLPParams:
+def init_mlp(rng: np.random.Generator, sizes: list[int], scale: float = 1.0) -> MLPParams:
     """Random init with std scale/sqrt(fan_in) weights and zero biases."""
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         w = rng.standard_normal((fan_out, fan_in)) * (scale / np.sqrt(fan_in))
         layers.append((w, np.zeros(fan_out)))
-    return MLPParams(layers=layers, activation=activation)
-
-
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.tanh(z) if kind == "tanh" else np.maximum(z, 0.0)
-
-
-def _act_deriv_from_out(a: np.ndarray, kind: str) -> np.ndarray:
-    # both tanh' and relu' are recoverable from the post-activation value
-    return 1.0 - a * a if kind == "tanh" else (a > 0.0).astype(np.float64)
+    return MLPParams(layers=layers)
 
 
 def forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
@@ -102,7 +89,7 @@ def forward_cached(params: MLPParams, x: np.ndarray):
     last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
         z = h @ w.T + b
-        h = z if i == last else _act(z, params.activation)
+        h = z if i == last else np.tanh(z)
         acts.append(h)
     return h, acts
 
@@ -132,7 +119,8 @@ def vjp_params_batched(params: MLPParams, xs: np.ndarray | None, cots: np.ndarra
         gw = np.einsum("no,ni->noi", delta, a_in)
         grads[i] = (gw.reshape(n, -1), delta)
         if i > 0:
-            delta = (delta @ w) * _act_deriv_from_out(acts[i], params.activation)
+            # tanh' from the post-activation value
+            delta = (delta @ w) * (1.0 - acts[i] * acts[i])
     return np.concatenate([np.concatenate([gw, gb], axis=1) for gw, gb in grads], axis=1)
 
 
@@ -198,6 +186,6 @@ def rows_backward(params: MLPParams, x: np.ndarray, acts=None):
         grads[i] = (gw.reshape(out_dim, -1), delta)
         delta = (delta @ w)
         if i > 0:
-            delta = delta * _act_deriv_from_out(acts[i], params.activation)[None, :]
+            delta = delta * (1.0 - acts[i] * acts[i])[None, :]
     j_params = np.concatenate([np.concatenate([gw, gb], axis=1) for gw, gb in grads], axis=1)
     return j_params, delta

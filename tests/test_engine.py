@@ -106,13 +106,13 @@ class TestComputeWeights:
             engine.compute_weights(np.full((2, 3), -np.inf))
 
 
-def run_engine(model, runner, ys, config, seed, keep=False):
+def run_engine(model, runner, ys, config, seed):
     rng = np.random.default_rng(seed)
     state = engine.init_state(model, runner, ys[0], config, rng)
     outs = [engine.estimate(state.cloud, use_control_variates=config.cv_grad_phi)]
     clouds = [state.cloud]
     for t in range(1, len(ys)):
-        state, out = engine.step(state, ys[t], model, config, rng, keep_weights=keep)
+        state, out = engine.step(state, ys[t], model, config, rng)
         outs.append(out)
         clouds.append(state.cloud)
     return state, outs, clouds
@@ -150,7 +150,6 @@ class TestEngineAgainstReferencePath:
         state, outs, clouds = run_engine(m, runner, ys, cfg, seed=123)
 
         # manual reference: replicate the history bookkeeping
-        req = gradients.GradRequest(truncation_window=window)
         hist = []
         a_live = np.zeros(params.hidden)
         lay = models.theta_layout(m)
@@ -193,7 +192,7 @@ class TestEngineAgainstReferencePath:
                     facc = np.zeros(lay.total)
                     for j in range(n):
                         score = gradients.grad_phi_log_backward(
-                            params, bound_prev, ys_prev, xi[i], xi_prev[j], req)
+                            params, bound_prev, ys_prev, xi[i], xi_prev[j], window)
                         gacc += w[j] * (g_ref[j] + score * (h_ref[j] + ht[j]))
                         facc += w[j] * (f_ref[j] + models.grad_theta_log_joint_pair(
                             m, xi_prev[j], xi[i], y, t))
@@ -208,7 +207,7 @@ class TestEngineAgainstReferencePath:
             np.testing.assert_allclose(clouds[t].g_stat, g_ref, **g_tol(g_ref))
             # estimator pieces
             scores = np.stack([gradients.grad_phi_log_marginal(
-                params, bound_cur, ys_cur, x, req) for x in xi])
+                params, bound_cur, ys_cur, x, window) for x in xi])
             want_phi = (scores * h_ref[:, None] + g_ref).mean(axis=0)
             assert outs[t].grad_phi.dtype == np.float64
             np.testing.assert_allclose(outs[t].grad_phi, want_phi, **g_tol(want_phi))
@@ -290,16 +289,14 @@ class TestBackwardSampling:
     def test_conditionally_unbiased_given_weights(self):
         rng = np.random.default_rng(17)
         m, runner, cfg, cloud, xi_new, log_q_new, kernel = self.make_step_pieces(rng)
-        wmat = engine.weight_matrix(cloud, kernel, cfg)
         full = engine.update_statistics(cloud, xi_new, m, runner,
-                                        np.array([0.5]), 1, kernel, log_q_new, cfg)
+                                        np.array([0.5]), kernel, log_q_new, cfg)
         cfg = dataclasses.replace(cfg, method="categorical")
         reps = 10**4
         acc = np.zeros((reps, cloud.n))
         for r in range(reps):
             sampled = engine.backward_sample_update(
-                cloud, xi_new, 2, rng, m, runner, np.array([0.5]), 1, kernel,
-                log_q_new, cfg, wmat=wmat)
+                cloud, xi_new, rng, m, runner, np.array([0.5]), kernel, log_q_new, cfg)
             acc[r] = sampled.h_stat
         mean = acc.mean(axis=0)
         stderr = acc.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -327,8 +324,8 @@ class TestBackwardSampling:
         m, runner, cfg, cloud, xi_new, log_q_new, kernel = self.make_step_pieces(rng)
         cfg = dataclasses.replace(cfg, method="accept_reject")
         with pytest.raises(MissingBound):
-            engine.backward_sample_update(cloud, xi_new, 2, rng, m, runner,
-                                          np.array([0.5]), 1, kernel, log_q_new, cfg)
+            engine.backward_sample_update(cloud, xi_new, rng, m, runner,
+                                          np.array([0.5]), kernel, log_q_new, cfg)
 
     def test_default_m_is_two(self):
         assert engine.EngineConfig().m_backward == 2
@@ -344,11 +341,11 @@ class TestBackwardSampling:
         rng = np.random.default_rng(20)
         m, runner, cfg2, cloud, xi_new, log_q_new, kernel = self.make_step_pieces(rng, n=1)
         cfg = engine.EngineConfig(n_particles=1, compute_grads=False)
-        sampled = engine.backward_sample_update(cloud, xi_new, 3, rng, m, runner,
-                                                np.array([0.5]), 1, kernel, log_q_new,
-                                                dataclasses.replace(cfg, method="categorical"))
+        sampled = engine.backward_sample_update(
+            cloud, xi_new, rng, m, runner, np.array([0.5]), kernel, log_q_new,
+            dataclasses.replace(cfg, method="categorical", m_backward=3))
         full = engine.update_statistics(cloud, xi_new, m, runner,
-                                        np.array([0.5]), 1, kernel, log_q_new, cfg)
+                                        np.array([0.5]), kernel, log_q_new, cfg)
         np.testing.assert_allclose(sampled.h_stat, full.h_stat, rtol=1e-12)
 
 
@@ -415,7 +412,7 @@ class TestStep:
         with pytest.raises(ConflictingSetting):
             engine.init_state(m, make_runner(rng, window=1), np.array([0.1]), cfg, rng)
         state = engine.init_state(m, make_runner(rng, window=2), np.array([0.1]), cfg, rng)
-        assert state.t == 0
+        assert state.cloud.t == 0
 
     def test_conjugate_runner_has_no_window_to_check(self):
         rng = np.random.default_rng(28)
@@ -424,7 +421,7 @@ class TestStep:
         runner = engine.ConjugateRunner(var.exact_conjugate_mode(m, oracle.kalman_filter(m, ys)))
         cfg = engine.EngineConfig(n_particles=3, truncation_window=5, compute_grads=False)
         state = engine.init_state(m, runner, ys[0], cfg, rng)
-        assert state.t == 0
+        assert state.cloud.t == 0
 
     @pytest.mark.parametrize("method", ["full", "accept_reject"])
     def test_reused_observation_buffer_gives_the_same_stream(self, method):
@@ -446,3 +443,37 @@ class TestStep:
             assert out.elbo == direct[t].elbo, t
             np.testing.assert_array_equal(out.grad_phi, direct[t].grad_phi)
             np.testing.assert_array_equal(out.grad_theta, direct[t].grad_theta)
+
+
+class TestRunnerWindow:
+    @pytest.mark.parametrize("method", ["full", "categorical", "accept_reject"])
+    @pytest.mark.parametrize("window", [0, 1, 2])
+    def test_chain_prev_is_the_previous_chain_cur(self, window, method):
+        # with unchanged params the kernel's marginal is the previous step's
+        # marginal: for window 0, the head at a_{t-1} with no observations
+        rng = np.random.default_rng(29)
+        m = make_lgssm(rng)
+        runner = make_runner(rng, window=window)
+        cfg = engine.EngineConfig(n_particles=5, method=method, truncation_window=window,
+                                  clip_enabled=method == "accept_reject")
+        ys = rng.standard_normal((5, 1))
+        state = engine.init_state(m, runner, ys[0], cfg, rng)
+        assert runner.chain_prev is None
+        for t in range(1, len(ys)):
+            before = runner.chain_cur
+            state, out = engine.step(state, ys[t], m, cfg, rng)
+            assert np.isfinite(out.elbo), t
+            assert np.all(np.isfinite(out.grad_phi)) and np.all(np.isfinite(out.grad_theta))
+            after = runner.chain_prev
+            assert len(after.ys) == len(before.ys) == min(window, t)
+            for name in ("a_boundary", "a_t", "raw", "eta1", "eta2", "jac", "nat_jac"):
+                np.testing.assert_array_equal(getattr(after, name), getattr(before, name),
+                                              err_msg=f"{name} at t={t}")
+            for y_after, y_before in zip(after.ys, before.ys):
+                np.testing.assert_array_equal(y_after, y_before)
+
+    def test_negative_window_raises(self):
+        params = var.init_amortizer(np.random.default_rng(30), 1, 1, hidden=3,
+                                    head_hidden=(3,), pot_hidden=(3,))
+        with pytest.raises(ValueError, match="window"):
+            engine.AmortizedRunner(params, window=-1)

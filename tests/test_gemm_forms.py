@@ -92,8 +92,7 @@ def ref_pair_contract(model, xs_prev, xs_new, y, coeff):
     return out
 
 
-def ref_update_statistics(cloud_prev, xi_new, model, runner, y, t, kernel, center,
-                          clip=None):
+def ref_update_statistics(cloud_prev, xi_new, model, runner, y, kernel, clip=None):
     """h, g and f of the full update; ``clip`` = (lo, hi) weights by the clamped
     potential, the bracket keeping the kernel log-density."""
     log_kernel = ref_log_density_cross(kernel.eta1, kernel.eta2, cloud_prev.xi)
@@ -109,9 +108,8 @@ def ref_update_statistics(cloud_prev, xi_new, model, runner, y, t, kernel, cente
                + models.log_g_batch(model, xi_new, y)[:, None] - log_kernel)
     bracket = cloud_prev.h_stat[None, :] + h_tilde
     h_new = np.einsum("ij,ij->i", w, bracket)
-    coeff = bracket - h_new[:, None] if center else bracket
     mean, second = gaussian.mean_params_batch(kernel.eta1, kernel.eta2)
-    cw = w * coeff
+    cw = w * bracket
     u1 = cw @ cloud_prev.xi - cw.sum(axis=1)[:, None] * mean
     u2 = (np.einsum("ij,jd,je->ide", cw, cloud_prev.xi, cloud_prev.xi)
           - cw.sum(axis=1)[:, None, None] * second)
@@ -138,15 +136,14 @@ def assert_close_f32(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
 
 
-def check_update_statistics(make_model, n_prev, n_new, center, clip, g_dtype="float64"):
+def check_update_statistics(make_model, n_prev, n_new, clip, g_dtype="float64"):
     rng = np.random.default_rng(50 + n_prev + 10 * n_new)
     model = make_model(rng)
     params = var.init_amortizer(rng, D, D, hidden=5, head_hidden=(5,), pot_hidden=(5,),
                                 scale=0.6)
     runner = engine.AmortizedRunner(params, window=2)
     ys = rng.standard_normal((3, D))
-    config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,
-                                 g_dtype=g_dtype)
+    config = engine.EngineConfig(n_particles=n_prev, method="full", g_dtype=g_dtype)
     # one engine step first, so the carried g and f statistics are non-zero
     state = engine.init_state(model, runner, ys[0], config, rng)
     state, _ = engine.step(state, ys[1], model, config, rng)
@@ -161,17 +158,16 @@ def check_update_statistics(make_model, n_prev, n_new, center, clip, g_dtype="fl
         pot = gaussian.inner_cross(*runner.potential_batch(xi_new)[:2], cloud.xi)
         lo, hi = np.quantile(pot, [0.25, 0.75])
         bounds = (lo, hi) if lo < hi else (lo - 1.0, lo + 1.0)
-        config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,
+        config = engine.EngineConfig(n_particles=n_prev, method="full",
                                      clip_enabled=True, log_eps_minus=bounds[0],
                                      log_eps_plus=bounds[1], g_dtype=g_dtype)
     kernel = engine.build_kernel(runner, xi_new)
-    got = engine.update_statistics(cloud, xi_new, model, runner, ys[2], 2, kernel,
+    got = engine.update_statistics(cloud, xi_new, model, runner, ys[2], kernel,
                                    log_q_new, config)
-    h_ref, g_ref, f_ref = ref_update_statistics(cloud, xi_new, model, runner, ys[2], 2,
-                                                kernel, center, clip=bounds)
+    h_ref, g_ref, f_ref = ref_update_statistics(cloud, xi_new, model, runner, ys[2],
+                                                kernel, clip=bounds)
     assert np.abs(cloud.f_stat).max() > 0.0
-    # a centered bracket over one previous particle is zero, so g stays zero
-    assert (np.abs(cloud.g_stat).max() > 0.0) != (center and n_prev == 1)
+    assert np.abs(cloud.g_stat).max() > 0.0
     assert_close(got.h_stat, h_ref)
     assert got.g_stat.dtype == g_dtype
     (assert_close if g_dtype == "float64" else assert_close_f32)(got.g_stat, g_ref)
@@ -180,27 +176,23 @@ def check_update_statistics(make_model, n_prev, n_new, center, clip, g_dtype="fl
 
 @pytest.mark.parametrize("make_model", [make_lgssm, make_residual], ids=["lgssm", "residual"])
 @pytest.mark.parametrize("n_prev,n_new", [(6, 4), (3, 5), (1, 1)])
-@pytest.mark.parametrize("center", [False, True], ids=["plain", "centered"])
-def test_update_statistics_matches_direct_forms(make_model, n_prev, n_new, center):
-    check_update_statistics(make_model, n_prev, n_new, center, clip=False)
+def test_update_statistics_matches_direct_forms(make_model, n_prev, n_new):
+    check_update_statistics(make_model, n_prev, n_new, clip=False)
 
 
 @pytest.mark.parametrize("make_model", [make_lgssm, make_residual], ids=["lgssm", "residual"])
 @pytest.mark.parametrize("n_prev,n_new", [(6, 4), (3, 5), (1, 1)])
-@pytest.mark.parametrize("center", [False, True], ids=["plain", "centered"])
-def test_clipped_update_statistics_matches_direct_forms(make_model, n_prev, n_new, center):
+def test_clipped_update_statistics_matches_direct_forms(make_model, n_prev, n_new):
     # weights from the clamped potentials, the bracket from the kernel log-density
-    check_update_statistics(make_model, n_prev, n_new, center, clip=True)
+    check_update_statistics(make_model, n_prev, n_new, clip=True)
 
 
 @pytest.mark.parametrize("make_model", [make_lgssm, make_residual], ids=["lgssm", "residual"])
 @pytest.mark.parametrize("n_prev,n_new", [(6, 4), (3, 5), (1, 1)])
-@pytest.mark.parametrize("center", [False, True], ids=["plain", "centered"])
 @pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clipped"])
-def test_float32_update_statistics_matches_direct_forms(make_model, n_prev, n_new, center,
-                                                        clip):
+def test_float32_update_statistics_matches_direct_forms(make_model, n_prev, n_new, clip):
     # h and f at the float64 tolerance; g, carried in float32, at its own
-    check_update_statistics(make_model, n_prev, n_new, center, clip, g_dtype="float32")
+    check_update_statistics(make_model, n_prev, n_new, clip, g_dtype="float32")
 
 
 def test_chaotic_pair_contract_matches_direct_form():

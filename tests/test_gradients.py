@@ -116,8 +116,7 @@ class TestGradPhiLogMarginal:
         lay = var.var_layout(params)
         a_t = rng.standard_normal(params.hidden)
         x = rng.standard_normal(params.d_x)
-        g = gr.grad_phi_log_marginal(params, a_t, [], x,
-                                     gr.GradRequest(truncation_window=0))
+        g = gr.grad_phi_log_marginal(params, a_t, [], x, 0)
         np.testing.assert_array_equal(lay.view(g, "amortizer.W"), 0.0)
         np.testing.assert_array_equal(lay.view(g, "amortizer.U"), 0.0)
         np.testing.assert_array_equal(lay.view(g, "amortizer.b"), 0.0)
@@ -130,8 +129,7 @@ class TestGradPhiLogMarginal:
         a0 = rng.standard_normal(params.hidden) * 0.3
         ys = [rng.standard_normal(2) for _ in range(window)]
         x = rng.standard_normal(3)
-        req = gr.GradRequest(truncation_window=window)
-        analytic = gr.grad_phi_log_marginal(params, a0, ys, x, req)
+        analytic = gr.grad_phi_log_marginal(params, a0, ys, x, window)
         phi0 = var.get_phi(params)
 
         def f(phi):
@@ -163,9 +161,8 @@ class TestGradPhiLogMarginal:
         chain = gr.marginal_chain(params, a0, ys, want_jacobian=True)
         xs = rng.standard_normal((7, 2))
         fast = gr.marginal_scores_phi(chain, xs)
-        req = gr.GradRequest(truncation_window=2)
         for i in range(7):
-            slow = gr.grad_phi_log_marginal(params, a0, ys, xs[i], req)
+            slow = gr.grad_phi_log_marginal(params, a0, ys, xs[i], 2)
             np.testing.assert_allclose(fast[i], slow, rtol=1e-8, atol=1e-12)
 
 
@@ -184,9 +181,8 @@ class TestGradPhiLogBackward:
         ys = [rng.standard_normal(2)]
         x_t = rng.standard_normal(2)
         x_prev = rng.standard_normal(2)
-        req = gr.GradRequest(truncation_window=1)
-        g_back = gr.grad_phi_log_backward(zero_pot, a0, ys, x_t, x_prev, req)
-        g_marg = gr.grad_phi_log_marginal(zero_pot, a0, ys, x_prev, req)
+        g_back = gr.grad_phi_log_backward(zero_pot, a0, ys, x_t, x_prev, 1)
+        g_marg = gr.grad_phi_log_marginal(zero_pot, a0, ys, x_prev, 1)
         for name in ("amortizer.W", "amortizer.U", "amortizer.b", "head_marginal"):
             np.testing.assert_allclose(lay.view(g_back, name), lay.view(g_marg, name),
                                        rtol=1e-10, atol=1e-12)
@@ -199,8 +195,7 @@ class TestGradPhiLogBackward:
         ys = [rng.standard_normal(3) for _ in range(window)]
         x_t = rng.standard_normal(2)
         x_prev = rng.standard_normal(2)
-        req = gr.GradRequest(truncation_window=window)
-        analytic = gr.grad_phi_log_backward(params, a0, ys, x_t, x_prev, req)
+        analytic = gr.grad_phi_log_backward(params, a0, ys, x_t, x_prev, window)
         phi0 = var.get_phi(params)
 
         def f(phi):
@@ -224,8 +219,7 @@ class TestGradPhiLogBackward:
         from streamvi.gaussian import sample
         n = 10**5
         xs = sample(kernel, rng, n)
-        req = gr.GradRequest(truncation_window=1)
-        block = np.stack([gr.grad_phi_log_backward(params, a0, ys, x_t, xs[i], req)
+        block = np.stack([gr.grad_phi_log_backward(params, a0, ys, x_t, xs[i], 1)
                           for i in range(0, n, 500)])  # subsample for runtime
         mean = block.mean(axis=0)
         stderr = block.std(axis=0, ddof=1) / math.sqrt(block.shape[0])

@@ -132,7 +132,7 @@ def test_carried_f_folds_into_the_contraction(kind, n_prev, n_new, missing):
 # ---------------------------------------------------------------------------
 
 
-def test_accept_reject_keep_weights_are_the_clamped_weights():
+def test_accept_reject_step_weights_are_the_clamped_weights():
     d = 2
     lo, hi = -1.0, 0.05
     rng = np.random.default_rng(80)
@@ -146,11 +146,12 @@ def test_accept_reject_keep_weights_are_the_clamped_weights():
     state = engine.init_state(model, runner, ys[0], config, rng)
     state, _ = engine.step(state, ys[1], model, config, rng)
     prev = state.cloud
-    state, _ = engine.step(state, ys[2], model, config, rng, keep_weights=True)
+    state, _ = engine.step(state, ys[2], model, config, rng)
+    got = engine.weight_matrix(prev, engine.build_kernel(runner, state.cloud.xi), config).w
 
     pot_eta1, pot_eta2, _, _ = runner.potential_batch(state.cloud.xi)
     pot = pot_eta1 @ prev.xi.T + np.einsum("md,nde,me->nm", prev.xi, pot_eta2, prev.xi)
     assert np.any(pot < lo) and np.any(pot > hi)      # both clamps bind
     want = np.exp(np.clip(pot, lo, hi))
     want /= want.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(state.last_wmat.w, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -85,7 +85,7 @@ def far_particle_update(g_dtype):
     xi_new[2] = 1e20
     log_q_new = gaussian.log_density_cross(eta.eta1[None], eta.eta2[None], xi_new)[0]
     kernel = engine.build_kernel(runner, xi_new)
-    return state.cloud, xi_new, model, runner, ys[2], 2, kernel, log_q_new, config
+    return state.cloud, xi_new, model, runner, ys[2], kernel, log_q_new, config
 
 
 def test_g_beyond_float32_range_names_the_particle():

@@ -51,14 +51,13 @@ def block_rows(rows, n_prev):
         engine.ROW_BLOCK_BYTES = saved
 
 
-def update_pieces(kind, n_prev, n_new, clip, center, seed, g_dtype="float64"):
+def update_pieces(kind, n_prev, n_new, clip, seed, g_dtype="float64"):
     """A cloud with non-zero carried g and f, and the next step's inputs."""
     rng = np.random.default_rng(seed)
     model = make_model(kind, rng)
     runner = make_runner(rng)
     ys = rng.standard_normal((3, D))
-    config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,
-                                 g_dtype=g_dtype)
+    config = engine.EngineConfig(n_particles=n_prev, method="full", g_dtype=g_dtype)
     state = engine.init_state(model, runner, ys[0], config, rng)
     state, _ = engine.step(state, ys[1], model, config, rng)
     runner.begin_step(ys[2])
@@ -71,19 +70,18 @@ def update_pieces(kind, n_prev, n_new, clip, center, seed, g_dtype="float64"):
         pot = gaussian.inner_cross(kernel.pot_eta1, kernel.pot_eta2, state.cloud.xi)
         lo, hi = np.quantile(pot, [0.25, 0.75])
         lo, hi = (lo, hi) if lo < hi else (lo - 1.0, lo + 1.0)
-        config = engine.EngineConfig(n_particles=n_prev, method="full", cv_gstat=center,
-                                     clip_enabled=True, log_eps_minus=lo, log_eps_plus=hi,
-                                     g_dtype=g_dtype)
+        config = engine.EngineConfig(n_particles=n_prev, method="full", clip_enabled=True,
+                                     log_eps_minus=lo, log_eps_plus=hi, g_dtype=g_dtype)
     return model, runner, state.cloud, xi_new, ys[2], kernel, log_q_new, config
 
 
 def blocked_update(pieces, rows):
     model, runner, cloud, xi_new, y, kernel, log_q_new, config = pieces
-    kept = np.empty((xi_new.shape[0], cloud.n))
     with block_rows(rows, cloud.n):
-        new = engine.update_statistics(cloud, xi_new, model, runner, y, 2, kernel, log_q_new,
-                                       config, kept=kept)
-    return new, kept
+        new = engine.update_statistics(cloud, xi_new, model, runner, y, kernel, log_q_new,
+                                       config)
+        w = engine.weight_matrix(cloud, kernel, config).w
+    return new, w
 
 
 def assert_same(got, want):
@@ -114,58 +112,29 @@ def check_blocked_update_equals_one_block(pieces, assert_g):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(KINDS), n_prev=st.integers(1, 9), n_new=st.integers(1, 9),
-       clip=st.booleans(), center=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_blocked_update_equals_one_block(kind, n_prev, n_new, clip, center, seed):
-    pieces = update_pieces(kind, n_prev, n_new, clip, center, seed)
+       clip=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_update_equals_one_block(kind, n_prev, n_new, clip, seed):
+    pieces = update_pieces(kind, n_prev, n_new, clip, seed)
     check_blocked_update_equals_one_block(pieces, assert_same)
 
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(KINDS), n_prev=st.integers(1, 9), n_new=st.integers(1, 9),
-       clip=st.booleans(), center=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_blocked_update_equals_one_block_float32(kind, n_prev, n_new, clip, center, seed):
+       clip=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_update_equals_one_block_float32(kind, n_prev, n_new, clip, seed):
     # a one-row block multiplies the float32 g by a matrix-vector product, the
     # whole block by a matrix product; h and f never read g
-    pieces = update_pieces(kind, n_prev, n_new, clip, center, seed, g_dtype="float32")
+    pieces = update_pieces(kind, n_prev, n_new, clip, seed, g_dtype="float32")
     check_blocked_update_equals_one_block(pieces, assert_same_f32)
 
 
 @pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
 def test_degenerate_row_in_a_later_block_names_its_row(clip):
     model, runner, cloud, xi_new, y, kernel, log_q_new, config = update_pieces(
-        "lgssm", 5, 7, clip, False, seed=3)
+        "lgssm", 5, 7, clip, seed=3)
     (kernel.pot_eta1 if clip else kernel.eta1)[5] = np.nan
     with block_rows(2, cloud.n), pytest.raises(DegenerateRow, match=r"weight row 5 "):
-        engine.update_statistics(cloud, xi_new, model, runner, y, 2, kernel, log_q_new,
-                                 config)
-
-
-def run_full(keep, steps=4, n=7):
-    rng = np.random.default_rng(11)
-    model = make_model("residual", rng)
-    runner = make_runner(rng)
-    ys = rng.standard_normal((steps + 1, D))
-    config = engine.EngineConfig(n_particles=n, method="full", g_dtype="float64")
-    state = engine.init_state(model, runner, ys[0], config, rng)
-    outs = []
-    with block_rows(3, n):
-        for t in range(1, steps + 1):
-            state, out = engine.step(state, ys[t], model, config, rng, keep_weights=keep)
-            outs.append(out)
-    return state, outs
-
-
-def test_keep_weights_leaves_the_full_route_bitwise_unchanged():
-    kept, outs_kept = run_full(keep=True)
-    plain, outs_plain = run_full(keep=False)
-    assert plain.last_wmat is None
-    np.testing.assert_allclose(kept.last_wmat.w.sum(axis=1), 1.0, rtol=1e-12)
-    for a, b in zip(outs_kept, outs_plain):
-        assert a.elbo == b.elbo
-        np.testing.assert_array_equal(a.grad_phi, b.grad_phi)
-        np.testing.assert_array_equal(a.grad_theta, b.grad_theta)
-    for name in ("xi", "h_stat", "g_stat", "f_stat"):
-        np.testing.assert_array_equal(getattr(kept.cloud, name), getattr(plain.cloud, name))
+        engine.update_statistics(cloud, xi_new, model, runner, y, kernel, log_q_new, config)
 
 
 def test_blocked_full_step_holds_no_dense_array():

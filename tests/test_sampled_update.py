@@ -62,7 +62,7 @@ def kernel_cotangents(kernel, cw, xs):
     return u1, u2
 
 
-def gathered_reference(cloud, xi_new, model, runner, y, kernel, idx, center):
+def gathered_reference(cloud, xi_new, model, runner, y, kernel, idx):
     """h, g and f from the forms gathered at the drawn pairs."""
     n_new, m_draws = idx.shape
     xs_j = cloud.xi[idx]
@@ -74,8 +74,7 @@ def gathered_reference(cloud, xi_new, model, runner, y, kernel, idx, center):
     bracket = (cloud.h_stat[idx] + log_m + models.log_g_batch(model, xi_new, y)[:, None]
                - log_kernel)
     h = bracket.mean(axis=1)
-    coeff = bracket - h[:, None] if center else bracket
-    u1, u2 = kernel_cotangents(kernel, coeff / m_draws, xs_j)
+    u1, u2 = kernel_cotangents(kernel, (bracket - h[:, None]) / m_draws, xs_j)
     g = (cloud.g_stat.astype(np.float64)[idx].mean(axis=1)
          + runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts))
     trans = models.grad_theta_transition_pairs(model, xs_j.reshape(n_new * m_draws, D),
@@ -85,7 +84,7 @@ def gathered_reference(cloud, xi_new, model, runner, y, kernel, idx, center):
     return h, g, f
 
 
-def dense_reference(cloud, xi_new, model, runner, y, kernel, idx, center):
+def dense_reference(cloud, xi_new, model, runner, y, kernel, idx):
     """h, g and f of the full update's direct form with W = 1/M at (i, idx[i, m])."""
     n_new, m_draws = idx.shape
     w = np.zeros((n_new, cloud.n))
@@ -96,9 +95,8 @@ def dense_reference(cloud, xi_new, model, runner, y, kernel, idx, center):
                                                 xp)
                          for j, xp in enumerate(cloud.xi)] for i, x in enumerate(xi_new)])
     h = np.einsum("ij,ij->i", w, bracket)
-    coeff = bracket - h[:, None] if center else bracket
     xs = np.broadcast_to(cloud.xi, (n_new, *cloud.xi.shape))
-    u1, u2 = kernel_cotangents(kernel, w * coeff, xs)
+    u1, u2 = kernel_cotangents(kernel, w * (bracket - h[:, None]), xs)
     g = (w @ cloud.g_stat.astype(np.float64)
          + runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts))
     pair_grads = np.array([[models.grad_theta_log_joint_pair(model, xp, x, y, 1)
@@ -116,10 +114,8 @@ def assert_close(got, want, rtol):
 @pytest.mark.parametrize("make_model", [make_lgssm, make_chaotic, make_residual],
                          ids=["lgssm", "chaotic", "residual"])
 @pytest.mark.parametrize("method", ["categorical", "accept_reject"])
-@pytest.mark.parametrize("center", [False, True], ids=["plain", "centered"])
 @pytest.mark.parametrize("g_dtype", ["float64", "float32"])
-def test_sampled_update_matches_gathered_and_dense_forms(make_model, method, center,
-                                                         g_dtype):
+def test_sampled_update_matches_gathered_and_dense_forms(make_model, method, g_dtype):
     rng = np.random.default_rng(80)
     model = make_model(rng)
     params = var.init_amortizer(rng, D, D, hidden=5, head_hidden=(5,), pot_hidden=(5,),
@@ -127,8 +123,7 @@ def test_sampled_update_matches_gathered_and_dense_forms(make_model, method, cen
     runner = engine.AmortizedRunner(params, window=2)
     ys = rng.standard_normal((3, D))
     config = engine.EngineConfig(n_particles=N_PREV, method=method, m_backward=M,
-                                 cv_gstat=center, clip_enabled=method == "accept_reject",
-                                 g_dtype=g_dtype)
+                                 clip_enabled=method == "accept_reject", g_dtype=g_dtype)
     # one engine step first, so the carried g and f statistics are non-zero
     state = engine.init_state(model, runner, ys[0], config, rng)
     state, _ = engine.step(state, ys[1], model, config, rng)
@@ -140,8 +135,8 @@ def test_sampled_update_matches_gathered_and_dense_forms(make_model, method, cen
     kernel = engine.build_kernel(runner, xi_new)
 
     rng_copy = copy.deepcopy(rng)
-    got = engine.backward_sample_update(cloud, xi_new, M, rng, model, runner, ys[2], 2,
-                                        kernel, log_q_new, config)
+    got = engine.backward_sample_update(cloud, xi_new, rng, model, runner, ys[2], kernel,
+                                        log_q_new, config)
     idx = draw_indices(cloud, kernel, config, rng_copy)
     assert rng.bit_generator.state == rng_copy.bit_generator.state
     assert np.abs(cloud.g_stat).max() > 0.0 and np.abs(cloud.f_stat).max() > 0.0
@@ -149,7 +144,7 @@ def test_sampled_update_matches_gathered_and_dense_forms(make_model, method, cen
 
     g_rtol = 1e-12 if g_dtype == "float64" else 1e-5
     for reference in (gathered_reference, dense_reference):
-        h, g, f = reference(cloud, xi_new, model, runner, ys[2], kernel, idx, center)
+        h, g, f = reference(cloud, xi_new, model, runner, ys[2], kernel, idx)
         assert_close(got.h_stat, h, 1e-12)
         assert_close(got.g_stat, g, g_rtol)
         assert_close(got.f_stat, f, 1e-12)
