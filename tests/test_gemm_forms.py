@@ -136,7 +136,8 @@ def assert_close_f32(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
 
 
-def check_update_statistics(make_model, n_prev, n_new, clip, g_dtype="float64"):
+def check_update_statistics(make_model, n_prev, n_new, clip, steps_before,
+                            g_dtype="float64"):
     rng = np.random.default_rng(50 + n_prev + 10 * n_new)
     model = make_model(rng)
     params = var.init_amortizer(rng, D, D, hidden=5, head_hidden=(5,), pot_hidden=(5,),
@@ -144,11 +145,14 @@ def check_update_statistics(make_model, n_prev, n_new, clip, g_dtype="float64"):
     runner = engine.AmortizedRunner(params, window=2)
     ys = rng.standard_normal((3, D))
     config = engine.EngineConfig(n_particles=n_prev, method="full", g_dtype=g_dtype)
-    # one engine step first, so the carried g and f statistics are non-zero
+    # with no step before, the update starts from the time-zero cloud, whose g
+    # statistic is zero; one engine step first makes the carried g non-zero
     state = engine.init_state(model, runner, ys[0], config, rng)
-    state, _ = engine.step(state, ys[1], model, config, rng)
+    for y in ys[1:1 + steps_before]:
+        state, _ = engine.step(state, y, model, config, rng)
     cloud = state.cloud
-    runner.begin_step(ys[2])
+    y_t = ys[1 + steps_before]
+    runner.begin_step(y_t)
     eta = runner.current_eta()
     xi_new = gaussian.sample(eta, rng, n_new)
     log_q_new = gaussian.log_density_cross(eta.eta1[None], eta.eta2[None], xi_new)[0]
@@ -162,12 +166,13 @@ def check_update_statistics(make_model, n_prev, n_new, clip, g_dtype="float64"):
                                      clip_enabled=True, log_eps_minus=bounds[0],
                                      log_eps_plus=bounds[1], g_dtype=g_dtype)
     kernel = engine.build_kernel(runner, xi_new)
-    got = engine.update_statistics(cloud, xi_new, model, runner, ys[2], kernel,
-                                   log_q_new, config)
-    h_ref, g_ref, f_ref = ref_update_statistics(cloud, xi_new, model, runner, ys[2],
-                                                kernel, clip=bounds)
+    got = engine.update_statistics(cloud, xi_new, model, runner, y_t, kernel, log_q_new,
+                                   config)
+    h_ref, g_ref, f_ref = ref_update_statistics(cloud, xi_new, model, runner, y_t, kernel,
+                                                clip=bounds)
+    assert cloud.t == steps_before and got.t == cloud.t + 1
     assert np.abs(cloud.f_stat).max() > 0.0
-    assert np.abs(cloud.g_stat).max() > 0.0
+    assert (np.abs(cloud.g_stat).max() > 0.0) == (steps_before > 0)
     assert_close(got.h_stat, h_ref)
     assert got.g_stat.dtype == g_dtype
     (assert_close if g_dtype == "float64" else assert_close_f32)(got.g_stat, g_ref)
@@ -176,23 +181,29 @@ def check_update_statistics(make_model, n_prev, n_new, clip, g_dtype="float64"):
 
 @pytest.mark.parametrize("make_model", [make_lgssm, make_residual], ids=["lgssm", "residual"])
 @pytest.mark.parametrize("n_prev,n_new", [(6, 4), (3, 5), (1, 1)])
-def test_update_statistics_matches_direct_forms(make_model, n_prev, n_new):
-    check_update_statistics(make_model, n_prev, n_new, clip=False)
+@pytest.mark.parametrize("steps_before", [0, 1], ids=["first", "later"])
+def test_update_statistics_matches_direct_forms(make_model, n_prev, n_new, steps_before):
+    check_update_statistics(make_model, n_prev, n_new, False, steps_before)
 
 
 @pytest.mark.parametrize("make_model", [make_lgssm, make_residual], ids=["lgssm", "residual"])
 @pytest.mark.parametrize("n_prev,n_new", [(6, 4), (3, 5), (1, 1)])
-def test_clipped_update_statistics_matches_direct_forms(make_model, n_prev, n_new):
+@pytest.mark.parametrize("steps_before", [0, 1], ids=["first", "later"])
+def test_clipped_update_statistics_matches_direct_forms(make_model, n_prev, n_new,
+                                                        steps_before):
     # weights from the clamped potentials, the bracket from the kernel log-density
-    check_update_statistics(make_model, n_prev, n_new, clip=True)
+    check_update_statistics(make_model, n_prev, n_new, True, steps_before)
 
 
 @pytest.mark.parametrize("make_model", [make_lgssm, make_residual], ids=["lgssm", "residual"])
 @pytest.mark.parametrize("n_prev,n_new", [(6, 4), (3, 5), (1, 1)])
+@pytest.mark.parametrize("steps_before", [0, 1], ids=["first", "later"])
 @pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clipped"])
-def test_float32_update_statistics_matches_direct_forms(make_model, n_prev, n_new, clip):
+def test_float32_update_statistics_matches_direct_forms(make_model, n_prev, n_new,
+                                                        steps_before, clip):
     # h and f at the float64 tolerance; g, carried in float32, at its own
-    check_update_statistics(make_model, n_prev, n_new, clip, g_dtype="float32")
+    check_update_statistics(make_model, n_prev, n_new, clip, steps_before,
+                            g_dtype="float32")
 
 
 def test_chaotic_pair_contract_matches_direct_form():

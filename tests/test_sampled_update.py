@@ -114,8 +114,10 @@ def assert_close(got, want, rtol):
 @pytest.mark.parametrize("make_model", [make_lgssm, make_chaotic, make_residual],
                          ids=["lgssm", "chaotic", "residual"])
 @pytest.mark.parametrize("method", ["categorical", "accept_reject"])
+@pytest.mark.parametrize("steps_before", [0, 1], ids=["first", "later"])
 @pytest.mark.parametrize("g_dtype", ["float64", "float32"])
-def test_sampled_update_matches_gathered_and_dense_forms(make_model, method, g_dtype):
+def test_sampled_update_matches_gathered_and_dense_forms(make_model, method, steps_before,
+                                                         g_dtype):
     rng = np.random.default_rng(80)
     model = make_model(rng)
     params = var.init_amortizer(rng, D, D, hidden=5, head_hidden=(5,), pot_hidden=(5,),
@@ -124,27 +126,35 @@ def test_sampled_update_matches_gathered_and_dense_forms(make_model, method, g_d
     ys = rng.standard_normal((3, D))
     config = engine.EngineConfig(n_particles=N_PREV, method=method, m_backward=M,
                                  clip_enabled=method == "accept_reject", g_dtype=g_dtype)
-    # one engine step first, so the carried g and f statistics are non-zero
+    # with no step before, the update starts from the time-zero cloud, whose g
+    # statistic is zero; one engine step first makes the carried g non-zero
     state = engine.init_state(model, runner, ys[0], config, rng)
-    state, _ = engine.step(state, ys[1], model, config, rng)
+    for y in ys[1:1 + steps_before]:
+        state, _ = engine.step(state, y, model, config, rng)
     cloud = state.cloud
-    runner.begin_step(ys[2])
+    y_t = ys[1 + steps_before]
+    runner.begin_step(y_t)
     eta = runner.current_eta()
     xi_new = gaussian.sample(eta, rng, N_NEW)
     log_q_new = gaussian.log_density_cross(eta.eta1[None], eta.eta2[None], xi_new)[0]
     kernel = engine.build_kernel(runner, xi_new)
 
     rng_copy = copy.deepcopy(rng)
-    got = engine.backward_sample_update(cloud, xi_new, rng, model, runner, ys[2], kernel,
+    got = engine.backward_sample_update(cloud, xi_new, rng, model, runner, y_t, kernel,
                                         log_q_new, config)
     idx = draw_indices(cloud, kernel, config, rng_copy)
     assert rng.bit_generator.state == rng_copy.bit_generator.state
-    assert np.abs(cloud.g_stat).max() > 0.0 and np.abs(cloud.f_stat).max() > 0.0
+    assert cloud.t == steps_before and got.t == cloud.t + 1
+    # the time-zero f is the theta-gradient of log chi + log g_0, in which the
+    # chaotic model's theta (W) does not appear
+    assert ((np.abs(cloud.f_stat).max() > 0.0)
+            == (steps_before > 0 or make_model is not make_chaotic))
+    assert (np.abs(cloud.g_stat).max() > 0.0) == (steps_before > 0)
     assert got.g_stat.dtype == g_dtype
 
     g_rtol = 1e-12 if g_dtype == "float64" else 1e-5
     for reference in (gathered_reference, dense_reference):
-        h, g, f = reference(cloud, xi_new, model, runner, ys[2], kernel, idx)
+        h, g, f = reference(cloud, xi_new, model, runner, y_t, kernel, idx)
         assert_close(got.h_stat, h, 1e-12)
         assert_close(got.g_stat, g, g_rtol)
         assert_close(got.f_stat, f, 1e-12)
