@@ -10,12 +10,17 @@ The package provides, bottom up:
   maths that differs between them, and the log-density, sampling and
   theta-gradient functions written once over those classes;
 - ``variational``: the amortized backward-factorized variational family;
-- ``tape`` / ``gradients``: reverse-mode differentiation of the scalar
-  quantities the estimators need, plus a finite-difference verifier;
+- ``gradients``: the phi-gradients of the variational marginals,
+  batched over particles;
 - ``engine``: particle clouds, self-normalized importance weights, and
   the per-step ELBO/gradient estimators;
 - ``oracle``: Kalman filter/smoother references for the linear-Gaussian
   case.
+
+The package needs only numpy.  The references that the tests check it
+against, a reverse-mode tape with the tape-backed phi-gradients of single
+log-densities and a finite-difference verifier, live in
+``tests/reference.py``.
 """
 
 __version__ = "0.1.0"

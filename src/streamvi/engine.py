@@ -106,6 +106,12 @@ class EngineConfig:
         if not self.log_eps_minus < self.log_eps_plus:
             raise BadBounds(f"need log_eps_minus < log_eps_plus, got "
                             f"({self.log_eps_minus}, {self.log_eps_plus})")
+        if self.method == "accept_reject" and not self.clip_enabled:
+            # without clipping the raw potential equals the weight row only
+            # up to a row constant, and only while the kernel marginal is the
+            # previous cloud's, so there is no bound to accept against
+            raise MissingBound("accept_reject requires clipping: its target and its "
+                               "bound are those of the clamped potential")
 
 
 @dataclass
@@ -286,7 +292,7 @@ class ConjugateRunner:
 
 
 def init_cloud(model, runner, y0: np.ndarray, config: EngineConfig,
-               rng: np.random.Generator, dim_theta: int | None = None) -> ParticleCloud:
+               rng: np.random.Generator) -> ParticleCloud:
     """Sample the time-zero cloud of ``config.n_particles`` and its base statistics.
 
     h_0 = log chi + log g_0 per particle; the phi-statistic starts at
@@ -303,7 +309,7 @@ def init_cloud(model, runner, y0: np.ndarray, config: EngineConfig,
     f_stat = None
     if runner.compute_grads:
         g_stat = np.zeros((n, runner.dim_phi), dtype=config.g_dtype)
-    if dim_theta is not None:
+    if config.compute_grads:
         f_stat = models.grad_theta_init_batch(model, xi, y0)
     return _checked_cloud(runner, xi, log_q, 0, h, g_stat, f_stat)
 
@@ -592,15 +598,9 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
     that it reached the fallback, a draw is independent of its rejected
     proposals, so the hybrid stays an exact sampler (Dau & Chopin, 2023).
     Expected cost is O(N M) proposals when the bound is tight; a draw
-    that falls back costs N proposals plus one exact row.
-
-    Without clipping the raw potential equals the weight row only up to a
-    row constant, and only while the kernel marginal is the previous
-    cloud's, so that case raises ``MissingBound``.
+    that falls back costs N proposals plus one exact row.  It needs
+    clipping, which ``EngineConfig`` checks.
     """
-    if not config.clip_enabled:
-        raise MissingBound("accept_reject requires clipping: its target and its "
-                           "bound are those of the clamped potential")
     eps_lo, eps_hi = config.log_eps_minus, config.log_eps_plus
     xs = cloud_prev.xi
     n_prev = cloud_prev.n
@@ -734,8 +734,7 @@ def init_state(model, runner, y0: np.ndarray, config: EngineConfig,
         raise ConflictingSetting(
             f"runner window {runner.window} != EngineConfig.truncation_window "
             f"{config.truncation_window}")
-    dim_theta = models.theta_layout(model).total if config.compute_grads else None
-    cloud = init_cloud(model, runner, y0, config, rng, dim_theta=dim_theta)
+    cloud = init_cloud(model, runner, y0, config, rng)
     return EngineState(cloud=cloud, runner=runner)
 
 

@@ -33,13 +33,8 @@ class NonFiniteStatistic(StreamviError):
     """A particle statistic became NaN or infinite."""
 
 
-class NonFiniteFunctionValue(StreamviError):
-    """A function probed by finite differences returned NaN or infinity."""
-
-
 class ModelMismatch(StreamviError):
     """An operation requires a different model class."""
-
 
 
 class ConflictingSetting(StreamviError):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 
 @dataclass(frozen=True)
 class SliceSpec:
@@ -51,11 +53,15 @@ class ParamLayout:
         e = self.by_name[name]
         return flat[e.offset:e.offset + e.size].reshape(e.shape)
 
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a flat vector of exactly ``total`` entries."""
+        if np.shape(flat) != (self.total,):
+            raise DimensionMismatch(f"flat vector has shape {np.shape(flat)}, "
+                                    f"expected ({self.total},)")
+        return {e.name: self.view(flat, e.name) for e in self.entries}
+
     def pack(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
         flat = np.empty(self.total)
         for e in self.entries:
             flat[e.offset:e.offset + e.size] = np.asarray(arrays[e.name]).ravel()
         return flat
-
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]

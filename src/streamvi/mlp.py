@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 
 @dataclass
 class MLPParams:
@@ -54,6 +56,9 @@ class MLPParams:
         return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in self.layers])
 
     def unpack(self, flat: np.ndarray) -> "MLPParams":
+        if np.shape(flat) != (self.n_params,):
+            raise DimensionMismatch(f"flat vector has shape {np.shape(flat)}, "
+                                    f"expected ({self.n_params},)")
         layers = []
         off = 0
         for w, b in self.layers:
@@ -62,7 +67,6 @@ class MLPParams:
                 (flat[off:off + nw].reshape(w.shape).copy(), flat[off + nw:off + nw + nb].copy())
             )
             off += nw + nb
-        assert off == flat.size
         return MLPParams(layers=layers)
 
 

@@ -370,8 +370,7 @@ def get_theta(model) -> np.ndarray:
 
 def with_theta(model, flat: np.ndarray):
     """New model object with the learnable parameters replaced."""
-    lay = theta_layout(model)
-    return model.replace_theta({name: lay.view(flat, name) for name in lay.names()})
+    return model.replace_theta(theta_layout(model).views(flat))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ with softplus-transformed diagonal.  Marginals use eps = 1e-6 so they
 are strictly negative definite by construction; potentials use eps = 0
 (validity is only required for the sum with a marginal).
 
-The module also houses the two enforceable stability devices: clamping
-of log-potential values into [log eps-, log eps+], and projection of the
-recurrent weight matrix onto a spectral-norm ball.
+The module also houses the projection of the recurrent weight matrix
+onto a spectral-norm ball.  Clamping of log-potentials into
+[log eps-, log eps+] happens in the engine, on whole rows.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mlp
-from .errors import BadBounds, ModelMismatch
-from .gaussian import GaussianNatural, add, inner, suff_stat
+from .errors import ModelMismatch
+from .gaussian import GaussianNatural, add
 from .layout import ParamLayout
 from .models import LinearGaussianSSM
 
@@ -102,14 +102,14 @@ def get_phi(params: AmortizerParams) -> np.ndarray:
 
 
 def with_phi(params: AmortizerParams, flat: np.ndarray) -> AmortizerParams:
-    lay = var_layout(params)
+    views = var_layout(params).views(flat)
     return replace(
         params,
-        W=lay.view(flat, "amortizer.W").copy(),
-        U=lay.view(flat, "amortizer.U").copy(),
-        b=lay.view(flat, "amortizer.b").copy(),
-        head_marginal=params.head_marginal.unpack(lay.view(flat, "head_marginal")),
-        head_potential=params.head_potential.unpack(lay.view(flat, "head_potential")),
+        W=views["amortizer.W"].copy(),
+        U=views["amortizer.U"].copy(),
+        b=views["amortizer.b"].copy(),
+        head_marginal=params.head_marginal.unpack(views["head_marginal"]),
+        head_potential=params.head_potential.unpack(views["head_potential"]),
     )
 
 
@@ -231,24 +231,6 @@ def backward_kernel(params: AmortizerParams, eta_prev: GaussianNatural,
                     x_t: np.ndarray) -> GaussianNatural:
     """Natural parameters of q_{t-1|t}(x_t, .) = eta_prev + potential(x_t)."""
     return add(eta_prev, potential_params(params, x_t))
-
-
-def log_potential(params: AmortizerParams, x_prev: np.ndarray, x_t: np.ndarray,
-                  log_eps_minus: float | None = None,
-                  log_eps_plus: float | None = None) -> float:
-    """log rho_t(x_prev, x_t) = <eta~(x_t), T(x_prev)>, optionally clamped."""
-    val = inner(potential_params(params, x_t), suff_stat(x_prev))
-    if log_eps_minus is not None or log_eps_plus is not None:
-        val = clip_potential(val, log_eps_minus, log_eps_plus)
-    return val
-
-
-def clip_potential(raw_log_pot, log_eps_minus: float, log_eps_plus: float):
-    """Clamp a log-potential into [log eps-, log eps+]."""
-    if log_eps_minus is None or log_eps_plus is None or not (log_eps_minus < log_eps_plus):
-        raise BadBounds(f"need log_eps_minus < log_eps_plus, got "
-                        f"({log_eps_minus}, {log_eps_plus})")
-    return np.clip(raw_log_pot, log_eps_minus, log_eps_plus)
 
 
 # ---------------------------------------------------------------------------

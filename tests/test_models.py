@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
+from reference import fd_check
 from streamvi import gaussian, mlp, models
-from streamvi.gradients import fd_check
 
 
 def make_lgssm(rng, d_x=2, d_y=2, q_var=0.1, r_var=0.25):

@@ -144,7 +144,7 @@ def cloud_arrays(cloud):
     arrays = {"xi": cloud.xi, "h": cloud.h_stat, "g": cloud.g_stat, "f": cloud.f_stat,
               "log_q": cloud.log_q_marginal, "eta1": cloud.eta.eta1, "eta2": cloud.eta.eta2}
     if chain is not None:
-        for name in ("a_boundary", "a_t", "raw", "eta1", "eta2", "jac", "nat_jac"):
+        for name in ("raw", "eta1", "eta2", "jac", "nat_jac"):
             arrays["chain." + name] = getattr(chain, name)
     return arrays
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from streamvi import gaussian, models, oracle, variational as var
-from streamvi.errors import BadBounds, ModelMismatch
+from streamvi.errors import DimensionMismatch, ModelMismatch
 
 
 def make_params(rng, d_x=2, d_y=2, hidden=6):
@@ -116,15 +116,6 @@ class TestPotentialParams:
                 count += 1
         assert count == 10**4
 
-    def test_clip_interaction(self):
-        rng = np.random.default_rng(8)
-        p = make_params(rng)
-        for _ in range(50):
-            val = var.log_potential(p, rng.standard_normal(2) * 10,
-                                    rng.standard_normal(2) * 10,
-                                    log_eps_minus=-5.0, log_eps_plus=5.0)
-            assert -5.0 <= val <= 5.0
-
 
 class TestBackwardKernel:
     def test_zero_potential_equals_marginal(self):
@@ -166,11 +157,6 @@ class TestBackwardKernel:
 
 
 class TestLogPotential:
-    def test_zero_net(self):
-        rng = np.random.default_rng(12)
-        p = zero_potential(make_params(rng))
-        assert var.log_potential(p, rng.standard_normal(2), rng.standard_normal(2)) == 0.0
-
     def test_hand_value_1d(self):
         # craft a head emitting raw = (2, sqrt(2)) so eta~ = (2, -1)
         head = var.mlp.MLPParams(layers=[(np.zeros((2, 1)), np.array([2.0, math.sqrt(2.0)]))])
@@ -178,7 +164,10 @@ class TestLogPotential:
                                 head_marginal=var.mlp.init_mlp(
                                     np.random.default_rng(0), [2, 2], scale=0.1),
                                 head_potential=head, d_x=1)
-        got = var.log_potential(p, np.array([3.0]), np.array([0.5]))
+        pot = var.potential_params(p, np.array([0.5]))
+        np.testing.assert_allclose(pot.eta1, [2.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pot.eta2, [[-1.0]], rtol=0, atol=1e-12)
+        got = gaussian.inner(pot, gaussian.suff_stat(np.array([3.0])))
         assert got == pytest.approx(2.0 * 3.0 - 1.0 * 9.0, abs=1e-12)
 
     def test_symmetrization_invariance(self):
@@ -189,21 +178,6 @@ class TestLogPotential:
         t = gaussian.suff_stat(x_prev)
         sym = gaussian.GaussianNatural(eta1=pot.eta1, eta2=0.5 * (pot.eta2 + pot.eta2.T))
         assert gaussian.inner(pot, t) == pytest.approx(gaussian.inner(sym, t), abs=1e-12)
-
-
-class TestClipPotential:
-    def test_in_range_unchanged(self):
-        assert var.clip_potential(1.3, -5.0, 5.0) == 1.3
-
-    def test_huge_value_clamped(self):
-        assert var.clip_potential(1e30, -5.0, 5.0) == 5.0
-        assert var.clip_potential(-1e30, -5.0, 5.0) == -5.0
-
-    def test_bad_bounds(self):
-        with pytest.raises(BadBounds):
-            var.clip_potential(0.0, 5.0, -5.0)
-        with pytest.raises(BadBounds):
-            var.clip_potential(0.0, None, 5.0)
 
 
 class TestSpectralProject:
@@ -289,3 +263,23 @@ class TestExactConjugateMode:
         means = np.array(means[::-1])
         mc_err = 4.0 * np.sqrt(np.array([c[0, 0] for c in sm.smooth_cov]) / n)
         assert np.all(np.abs(means[:, 0] - sm.smooth_mean[:, 0]) < mc_err + 4e-2)
+
+
+@pytest.mark.parametrize("extra", [2, 7, -1])
+def test_wrong_length_parameter_vector_raises(extra):
+    # extra or missing entries raise instead of being dropped or reshaped
+    rng = np.random.default_rng(20)
+    params = make_params(rng)
+    phi = var.get_phi(params)
+    with pytest.raises(DimensionMismatch):
+        var.with_phi(params, np.resize(phi, phi.size + extra))
+    head = params.head_marginal
+    with pytest.raises(DimensionMismatch):
+        head.unpack(np.resize(head.pack(), head.n_params + extra))
+    for m in (models.LinearGaussianSSM(F=0.7 * np.eye(2), G=np.eye(2)),
+              models.ResidualNonlinearSSM(f_net=var.mlp.init_mlp(rng, [2, 3, 2]),
+                                          g_net=var.mlp.init_mlp(rng, [2, 3, 2]),
+                                          q_diag=np.ones(2), r_diag=np.ones(2))):
+        theta = models.get_theta(m)
+        with pytest.raises(DimensionMismatch):
+            models.with_theta(m, np.resize(theta, theta.size + extra))
