@@ -21,7 +21,14 @@ weights W_ij of new particle i over the previous particles j:
   bound on the clamped potential, with a draw still pending after N
   proposals drawn exactly from its row.  Accept-reject costs O(N M)
   proposals per step when the bound is tight, and at worst N proposals
-  plus one exact row per draw.
+  plus one exact row per draw.  Its proposals come in rounds, one block
+  per pending draw, of 1, 2, 4, ... proposals, so a step takes about
+  ceil(log2(N + 1)) rounds rather than up to N.  Each draw takes the
+  first acceptance in its sequence of proposals, as with one proposal
+  per round, so the sampler stays exact.  The proposals after a block's
+  first acceptance are wasted: a draw draws fewer than twice the
+  proposals it needs, and never more than N.  A round's gather of
+  proposal features stays within ``ROW_BLOCK_BYTES``.
 
 Both read the bracket, the moments and the theta side from the same
 per-particle rows and end in one tail, ``_finish_update``.
@@ -74,7 +81,8 @@ from .errors import (BadBounds, ConflictingSetting, DegenerateRow, MissingBound,
                      NonFiniteStatistic)
 from .gaussian import GaussianNatural
 
-# Bytes of one block's (rows, N_prev) float64 array on the full route.  At
+# Bytes of one block's (rows, N_prev) float64 array on the full route, and
+# of one round's gathered proposal features on the accept-reject route.  At
 # N=2000 on a 2-core x86 VM with one BLAS thread, 0.5 MiB blocks were
 # slower, 1-8 MiB about as fast as one whole block, and larger blocks only
 # raised peak memory.
@@ -590,34 +598,58 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
     """Index draws by accept-reject against a per-row bound, with an exact fallback.
 
     Row i's target is its clamped potential over the previous particles,
-    the row that ``block_weights`` normalizes.  Each round, every
-    pending draw proposes a uniform index j and accepts it with
-    probability exp(pot_ij - B_i), B_i from ``_potential_bound``.  A draw
-    still pending after N proposals, what one exact row costs, is drawn
-    from its row's categorical over the same clamped potential.  Given
-    that it reached the fallback, a draw is independent of its rejected
-    proposals, so the hybrid stays an exact sampler (Dau & Chopin, 2023).
+    the row that ``block_weights`` normalizes.  Each proposal is a uniform
+    index j, accepted with probability exp(pot_ij - B_i), B_i from
+    ``_potential_bound``; a draw's index is its first accepted proposal.
+    A draw still pending after N proposals, what one exact row costs, is
+    drawn from its row's categorical over the same clamped potential.
+    Given that it reached the fallback, a draw is independent of its
+    rejected proposals, so the hybrid stays an exact sampler (Dau &
+    Chopin, 2023).
+
+    The proposals come in rounds.  Each round gives every pending draw a
+    block of k proposals and takes the first acceptance in each block; k
+    starts at 1 and doubles each round, cut so that a draw's total is
+    exactly N and so that the round's (pending, k, d + d^2) gather of
+    proposal features stays within ``ROW_BLOCK_BYTES``.  A proposal is
+    scored as its row's [eta1, vec eta2] times the proposed particle's
+    sufficient statistics, the product ``inner_cross`` forms for whole
+    rows.  A draw's index is then the same function of its proposal
+    sequence as with one proposal per round, and k depends only on the
+    rounds before (through how many draws are pending), never on the
+    draw's new proposals, so every draw's law is unchanged.  While the
+    budget does not bind, a step takes at most ceil(log2(N + 1)) rounds.
+    A block is at most one longer than all the draw's proposals before
+    it, so a draw first accepting at its t-th proposal has drawn fewer
+    than 2t, those after the acceptance wasted; none draws more than N.
+
     Expected cost is O(N M) proposals when the bound is tight; a draw
     that falls back costs N proposals plus one exact row.  It needs
     clipping, which ``EngineConfig`` checks.
     """
     eps_lo, eps_hi = config.log_eps_minus, config.log_eps_plus
     xs = cloud_prev.xi
-    n_prev = cloud_prev.n
+    n_prev, d = xs.shape
+    n_new = kernel.pot_eta1.shape[0]
     bound = _potential_bound(kernel.pot_eta1, kernel.pot_eta2, xs, eps_lo, eps_hi)
-    idx = np.full((kernel.pot_eta1.shape[0], m_draws), -1, dtype=np.int64)
+    coef = np.concatenate([kernel.pot_eta1, kernel.pot_eta2.reshape(n_new, d * d)], axis=1)
+    feats = gaussian.suff_stat_rows(xs)[:, :-1]      # [x, vec xx']
+    idx = np.full((n_new, m_draws), -1, dtype=np.int64)
     rows, cols = np.nonzero(idx < 0)
-    for _ in range(n_prev):
-        if not rows.size:
-            break
-        prop = rng.integers(0, n_prev, size=rows.size)
-        xj = xs[prop]
-        log_pot = (np.einsum("kd,kd->k", kernel.pot_eta1[rows], xj)
-                   + np.einsum("kd,kde,ke->k", xj, kernel.pot_eta2[rows], xj))
-        log_pot = np.clip(log_pot, eps_lo, eps_hi)
-        accept = np.log(rng.random(rows.size)) < log_pot - bound[rows]
-        idx[rows[accept], cols[accept]] = prop[accept]
-        rows, cols = rows[~accept], cols[~accept]
+    used, k = 0, 1
+    while rows.size and used < n_prev:
+        fit = max(1, ROW_BLOCK_BYTES // (8 * feats.shape[1] * rows.size))
+        k = min(k, n_prev - used, fit)
+        prop = rng.integers(0, n_prev, size=(rows.size, k))
+        log_pot = np.matmul(np.take(feats, prop, axis=0), coef[rows, :, None])[..., 0]
+        np.clip(log_pot, eps_lo, eps_hi, out=log_pot)
+        accept = np.log(rng.random((rows.size, k))) < log_pot - bound[rows, None]
+        hit = accept.any(axis=1)
+        first = np.argmax(accept[hit], axis=1)
+        idx[rows[hit], cols[hit]] = prop[hit, first]
+        rows, cols = rows[~hit], cols[~hit]
+        used += k
+        k *= 2
     if rows.size:
         fb_rows, pos = np.unique(rows, return_inverse=True)
         log_pot = np.clip(gaussian.inner_cross(kernel.pot_eta1[fb_rows],

@@ -20,6 +20,7 @@ onto a spectral-norm ball.  Clamping of log-potentials into
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,9 +127,15 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _tril_diag_positions(d: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _tril(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``np.tril_indices(d)`` rows and cols, and the positions of
+    the diagonal among them; built once per dimension."""
     rows, cols = np.tril_indices(d)
-    return np.nonzero(rows == cols)[0]
+    diag = np.nonzero(rows == cols)[0]
+    for a in (rows, cols, diag):
+        a.flags.writeable = False
+    return rows, cols, diag
 
 
 def raw_to_natural(raw: np.ndarray, d: int, eps: float, diag_softplus: bool = True):
@@ -146,11 +153,10 @@ def raw_to_natural(raw: np.ndarray, d: int, eps: float, diag_softplus: bool = Tr
     n = r.shape[0]
     eta1 = r[:, :d].copy()
     l_entries = r[:, d:].copy()
+    rows, cols, diag_pos = _tril(d)
     if diag_softplus:
-        diag_pos = _tril_diag_positions(d)
         l_entries[:, diag_pos] = _softplus(l_entries[:, diag_pos])
     low = np.zeros((n, d, d))
-    rows, cols = np.tril_indices(d)
     low[:, rows, cols] = l_entries
     eta2 = -0.5 * np.einsum("nij,nkj->nik", low, low)
     if eps:
@@ -174,8 +180,7 @@ def natural_cotangent_to_raw(raw: np.ndarray, cot_eta1: np.ndarray,
     c1 = np.asarray(cot_eta1)[None, :] if single else np.asarray(cot_eta1)
     c2 = np.asarray(cot_eta2)[None, :, :] if single else np.asarray(cot_eta2)
     n = r.shape[0]
-    rows, cols = np.tril_indices(d)
-    diag_pos = _tril_diag_positions(d)
+    rows, cols, diag_pos = _tril(d)
     l_entries = r[:, d:].copy()
     if diag_softplus:
         l_entries[:, diag_pos] = _softplus(l_entries[:, diag_pos])

@@ -1,6 +1,8 @@
 """Accept-reject backward index draws: the per-row bound, the capped exact
 fallback on the clamped potential, and the vectorized categorical draws."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -15,14 +17,17 @@ from streamvi.gaussian import GaussianNatural
 
 
 class CountingGenerator(np.random.Generator):
-    """Counts the integers drawn, i.e. the accept-reject proposals."""
+    """Counts the integers drawn, i.e. the accept-reject proposals, and the
+    calls that drew them, one per round of proposals."""
 
     def __init__(self, seed):
         super().__init__(np.random.PCG64(seed))
         self.drawn = 0
+        self.calls = 0
 
     def integers(self, low, high=None, size=None, **kwargs):
         self.drawn += 1 if size is None else int(np.prod(size))
+        self.calls += 1
         return super().integers(low, high, size=size, **kwargs)
 
 
@@ -49,16 +54,11 @@ def make_cloud(xs):
                                                     eta2=-0.5 * np.eye(d)), t=0)
 
 
-def hard_kernel(n_prev, slopes, log_eps_minus):
-    """Particles on the anti-diagonal, potentials along the diagonal.
-
-    Every potential is about slope * delta_j, a few units from zero, while
-    the bounding-box bound is about 2 * slope, or eps+ = 30 where that is
-    lower: for slopes >= 14 acceptance is below e^-27 and every draw
-    reaches the fallback.  The lower clamp binds on the most negative deltas.
-    """
-    t = np.linspace(-1.0, 1.0, n_prev)
-    delta = np.linspace(-0.2, 0.05, n_prev)[::-1]
+def diagonal_kernel(n_prev, slopes, log_eps_minus, t_max, deltas):
+    """Particles (t_j, -t_j + delta_j), t in [-t_max, t_max] and delta over
+    ``deltas`` in reverse order; potentials slope * (x1 + x2), about slope * delta_j."""
+    t = np.linspace(-t_max, t_max, n_prev)
+    delta = np.linspace(*deltas, n_prev)[::-1]
     xs = np.stack([t, -t + delta], axis=1)
     pot_eta1 = np.outer(slopes, [1.0, 1.0])
     pot_eta2 = np.broadcast_to(-0.01 * np.eye(2), (len(slopes), 2, 2)).copy()
@@ -68,6 +68,43 @@ def hard_kernel(n_prev, slopes, log_eps_minus):
     kernel = engine.build_kernel(FixedPotentialRunner(pot_eta1, pot_eta2),
                                  np.zeros((len(slopes), 2)))
     return cfg, cloud, kernel
+
+
+def hard_kernel(n_prev, slopes, log_eps_minus):
+    """Particles on the anti-diagonal, potentials along the diagonal.
+
+    Every potential is about slope * delta_j, a few units from zero, while
+    the bounding-box bound is about 2 * slope, or eps+ = 30 where that is
+    lower: for slopes >= 14 acceptance is below e^-27 and every draw
+    reaches the fallback.  The lower clamp binds on the most negative deltas.
+    """
+    return diagonal_kernel(n_prev, slopes, log_eps_minus, 1.0, (-0.2, 0.05))
+
+
+def spread_kernel():
+    """N = 32, potentials s * delta_j in [-4 s, 0.5 s] for s in (0.8, 1.0, 1.3),
+    clamped below at -2, and bounds 1.2 s to 1.5 s: a proposal is accepted
+    with probability 0.06-0.13, so first acceptances land in every block
+    of 1, 2, 4, 8 and 16 proposals, and 1-16% of the draws fall back."""
+    return diagonal_kernel(32, [0.8, 1.0, 1.3], -2.0, 0.5, (-4.0, 0.5))
+
+
+def chi_square_pvalues(idx, w):
+    """Per-row chi-square p-values of the index draws ``idx`` against the rows of ``w``."""
+    pvalues = []
+    for i in range(w.shape[0]):
+        counts = np.bincount(idx[i], minlength=w.shape[1])
+        expected = w[i] * idx.shape[1]
+        keep = expected > 5
+        pvalues.append(sstats.chisquare(counts[keep], expected[keep] * counts[keep].sum()
+                                        / expected[keep].sum()).pvalue)
+    return np.array(pvalues)
+
+
+def spread_draws(cfg, cloud, kernel, rng, calls=8, m_draws=1500):
+    """``calls`` sampler calls of ``m_draws`` draws per row, side by side."""
+    return np.concatenate([engine._accept_reject_rows(cloud, kernel, cfg, m_draws, rng)
+                           for _ in range(calls)], axis=1)
 
 
 def loop_categorical_rows(w, m_draws, rng):
@@ -148,13 +185,7 @@ class TestAcceptRejectRows:
         idx = engine._accept_reject_rows(cloud, kernel, cfg, draws, rng)
         # every draw used its N proposals, then the fallback
         assert rng.drawn == cloud.n * len(kernel.pot_eta1) * draws
-        for i in range(len(kernel.pot_eta1)):
-            counts = np.bincount(idx[i], minlength=cloud.n)
-            expected = wmat.w[i] * draws
-            keep = expected > 5
-            res = sstats.chisquare(counts[keep], expected[keep] * counts[keep].sum()
-                                   / expected[keep].sum())
-            assert res.pvalue > 0.01
+        assert np.all(chi_square_pvalues(idx, wmat.w) > 0.01)
 
     def test_proposals_capped_at_n_per_draw(self):
         cfg, cloud, kernel = hard_kernel(64, slopes=np.linspace(16.0, 40.0, 16),
@@ -162,9 +193,48 @@ class TestAcceptRejectRows:
         m_draws = 3
         rng = CountingGenerator(4)
         idx = engine._accept_reject_rows(cloud, kernel, cfg, m_draws, rng)
-        assert rng.drawn <= cloud.n * len(kernel.pot_eta1) * m_draws
+        # every draw falls back: exactly N proposals each, in doubling blocks
+        assert rng.drawn == cloud.n * len(kernel.pot_eta1) * m_draws
+        assert rng.calls <= math.ceil(math.log2(cloud.n + 1))
         assert idx.shape == (16, m_draws)
         assert np.all((idx >= 0) & (idx < cloud.n))
+
+    def test_spread_kernel_reaches_every_block_and_the_fallback(self):
+        cfg, cloud, kernel = spread_kernel()
+        pot = np.clip(gaussian.inner_cross(kernel.pot_eta1, kernel.pot_eta2, cloud.xi),
+                      cfg.log_eps_minus, cfg.log_eps_plus)
+        assert np.any(pot == cfg.log_eps_minus, axis=1).all()   # the clamp binds
+        bound = engine._potential_bound(kernel.pot_eta1, kernel.pot_eta2, cloud.xi,
+                                        cfg.log_eps_minus, cfg.log_eps_plus)
+        reject = 1.0 - np.exp(pot - bound[:, None]).mean(axis=1)
+        ends = np.array([0, 1, 3, 7, 15, 31])        # proposals drawn at each block's ends
+        in_block = reject[:, None] ** ends[:-1] - reject[:, None] ** ends[1:]
+        assert np.all(in_block > 0.05)
+        assert np.all(reject ** cloud.n > 0.01)
+
+    @pytest.mark.parametrize("limit_binds", [False, True])
+    def test_blocked_draws_sample_clamped_potential(self, monkeypatch, limit_binds):
+        cfg, cloud, kernel = spread_kernel()
+        n_new, calls, m_draws = len(kernel.pot_eta1), 8, 1500
+        if limit_binds:
+            # room for two proposals per draw, more as draws accept
+            monkeypatch.setattr(engine, "ROW_BLOCK_BYTES", 2 * 8 * 6 * n_new * m_draws)
+        rng = CountingGenerator(5)
+        idx = spread_draws(cfg, cloud, kernel, rng, calls, m_draws)
+        assert np.all(chi_square_pvalues(idx, engine.weight_matrix(cloud, kernel, cfg).w)
+                      > 0.01)
+        assert rng.drawn <= cloud.n * n_new * m_draws * calls
+        rounds = rng.calls / calls
+        assert (rounds > math.ceil(math.log2(cloud.n + 1))) == limit_binds
+
+    def test_chi_square_rejects_the_unclamped_potential(self):
+        """The test above has the power to tell a sampler that ignores the
+        lower clamp from the right one on the spread kernel."""
+        cfg, cloud, kernel = spread_kernel()
+        unclamped = dataclasses.replace(cfg, log_eps_minus=-30.0)
+        idx = spread_draws(unclamped, cloud, kernel, np.random.default_rng(5))
+        assert np.all(chi_square_pvalues(idx, engine.weight_matrix(cloud, kernel, cfg).w)
+                      < 0.01)
 
     @settings(max_examples=50, deadline=None)
     @given(n_prev=st.integers(1, 3), extra=st.integers(1, 5), n_new=st.integers(1, 3),
