@@ -49,8 +49,8 @@ block's weights; the pair bracket h_prev_j + log m(x_j -> x_i) + log g(x_i)
 products with the carried g, the sufficient statistics and the model's
 theta rows fill the block's rows of the new statistics.  Everything on
 the previous-particle side is built once per step.  So a step holds
-the weights, the bracket and, for a float32 g, the weights cast to
-float32: block-sized arrays that the runner keeps across steps, and no
+the weights, the bracket and the two slots of the g product (below):
+block-sized arrays that the runner keeps across steps, and no
 N x N array; only the categorical draws assemble the whole weight
 matrix, block by block (``weight_matrix``).
 
@@ -68,10 +68,28 @@ step's largest product, and every g gather move half the bytes; the
 weights are cast to float32 one block at a time for that product.  h
 and f never read g, so the ELBO and ``grad_theta`` do not depend on the
 setting.
+
+Overlap: on the full route a block's w @ g_prev reads only the block's
+weights and the carried g, so it runs on one helper thread while the
+main thread goes on with the float64 work: the bracket, the moments, the
+theta sums and the next block's cross and weights.  NumPy releases the
+GIL inside BLAS.  The helper's left operand alternates between two work
+arrays by block, the two float32 casts or, for a float64 g, two cross
+slots; a block waits for the product two blocks back before it writes
+its slot, so at most two products are in flight and none reads a buffer
+that is being written.  Every product has finished before
+``_finish_update`` starts, and before an error leaves
+``update_statistics``.  Each product is the same BLAS call on the same
+operands as when run in line, so outputs are bit-identical.  There is
+one helper per process, shared by every engine in it, made on the first
+full-route block that carries g, not at import; a forked child forgets
+its parent's helper (an ``os.register_at_fork`` hook) and makes its own.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +103,36 @@ from .gaussian import GaussianNatural
 # of one round's gathered proposal features on the accept-reject route.  At
 # N=2000 on a 2-core x86 VM with one BLAS thread, 0.5 MiB blocks were
 # slower, 1-8 MiB about as fast as one whole block, and larger blocks only
-# raised peak memory.
+# raised peak memory.  A block is also the grain of the overlap of w @ g_prev
+# with the float64 work: with one block, as at N=500, the product overlaps
+# only that block's bracket, moments and theta sums.
 ROW_BLOCK_BYTES = 4 << 20
+
+# The thread that runs the full route's w @ g_prev, one per process since
+# it is there to use the second core; made on first use.
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _helper_thread():
+    """The one worker thread of the full route's g products."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor   # not at import: set-up time
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="streamvi-g")
+        return _helper
+
+
+def _forget_helper() -> None:
+    # a forked child has no thread behind its parent's executor, and may have
+    # copied the lock held
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
 
 
 @dataclass
@@ -477,11 +523,13 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
     that contract the kernel scores, and h_new as its last column; w, cast
     to g's dtype, times g_prev goes straight into the new g's rows; and
     one product of w with ``models.grad_theta_pair_rows`` (the carried f
-    first) gives the theta side.  ``_finish_update``, shared with the
-    sampled route, completes the step.  The previous-particle rows are
-    built once per step.  The block arrays (the weights, the bracket and the
-    cast weights), the moments and the theta sums are the runner's work
-    arrays, reused across steps; only h, g and f are new.
+    first) gives the theta side.  The g product runs on the helper thread
+    (see the module docstring), from one of two slots that alternate by
+    block.  ``_finish_update``, shared with the sampled route, completes
+    the step once every product has finished.  The previous-particle rows
+    are built once per step.  The block arrays (the weights, the bracket
+    and the helper's two slots), the moments and the theta sums are the
+    runner's work arrays, reused across steps; only h, g and f are new.
     """
     n_new = xi_new.shape[0]
     n_prev = cloud_prev.n
@@ -491,33 +539,50 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
     stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
     left, right = pair_terms(model, cloud_prev, xi_new, y_t, kernel, stats_prev)
     moments = work.get("moments", (n_new, stats_prev.shape[1]))   # (N_new, d + d*d + 1)
-    cross = work.get("cross", block_shape)
+    crosses = [work.get("cross", block_shape)]
     bracket = work.get("bracket", block_shape)
     h_new = np.empty(n_new)
-    g_new = w_g = theta_rows = theta_sums = None
+    g_new = theta_rows = theta_sums = None
+    casts = []
     if cloud_prev.g_stat is not None:
         g_prev = cloud_prev.g_stat
         g_new = np.empty((n_new, g_prev.shape[1]), dtype=g_prev.dtype)
-        if g_prev.dtype != np.float64:
-            w_g = work.get("w_g", block_shape, g_prev.dtype)
+        # the helper reads one block's slot while the main thread fills the next
+        if g_prev.dtype == np.float64:
+            crosses.append(work.get("cross1", block_shape))
+        else:
+            casts = [work.get(f"w_g{k}", block_shape, g_prev.dtype) for k in (0, 1)]
     if cloud_prev.f_stat is not None:
         theta_rows = models.grad_theta_pair_rows(model, cloud_prev.xi, cloud_prev.f_stat)
         theta_sums = work.get("theta_sums", (n_new, theta_rows.shape[1]))
 
-    for rows in blocks:
-        size = rows.stop - rows.start
-        w = block_weights(cloud_prev, kernel, config, rows, stats_prev, out=cross[:size])
-        cw = np.matmul(left[rows], right.T, out=bracket[:size])
-        cw *= w
-        block = moments[rows]
-        np.matmul(cw, stats_prev, out=block)
-        h_new[rows] = block[:, -1]
-        if g_new is not None:
-            if w_g is not None:
-                w_g[:size] = w
-            np.matmul(w if w_g is None else w_g[:size], g_prev, out=g_new[rows])
-        if theta_rows is not None:
-            np.matmul(w, theta_rows, out=theta_sums[rows])
+    pending = []   # the helper's g products in flight, oldest first
+    try:
+        for k, rows in enumerate(blocks):
+            size = rows.stop - rows.start
+            if len(pending) == 2:
+                pending.pop(0).result()   # frees the slot of block k - 2
+            w = block_weights(cloud_prev, kernel, config, rows, stats_prev,
+                              out=crosses[k % len(crosses)][:size])
+            if g_new is not None:
+                w_g = w
+                if casts:
+                    w_g = casts[k % 2][:size]
+                    w_g[...] = w
+                pending.append(_helper_thread().submit(np.matmul, w_g, g_prev,
+                                                       out=g_new[rows]))
+            cw = np.matmul(left[rows], right.T, out=bracket[:size])
+            cw *= w
+            block = moments[rows]
+            np.matmul(cw, stats_prev, out=block)
+            h_new[rows] = block[:, -1]
+            if theta_rows is not None:
+                np.matmul(w, theta_rows, out=theta_sums[rows])
+        while pending:
+            pending.pop(0).result()
+    finally:
+        for product in pending:
+            product.exception()   # waits; the error in flight is the one raised
 
     return _finish_update(cloud_prev, model, runner, y_t, xi_new, log_q_new, kernel, h_new,
                           moments, g_new, theta_sums)

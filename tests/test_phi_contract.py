@@ -149,8 +149,11 @@ def cloud_arrays(cloud):
     return arrays
 
 
-# the runner's work arrays that each route uses, by name; the full route
-# adds "w_g", the weights cast to g's dtype, when g is float32
+# the runner's work arrays that each route uses, by name.  The full route's
+# g product runs on a helper thread that reads one block while the main
+# thread fills the next, so its left operand has two slots: "w_g0" and
+# "w_g1", the weights cast to float32, or for a float64 g a second cross
+# slot, "cross1"
 WORK_ARRAYS = {"full": {"phi", "cross", "bracket", "moments", "theta_sums"},
                "categorical": {"phi"}, "accept_reject": {"phi"}}
 
@@ -184,8 +187,10 @@ def check_step_leaves_previous_cloud_unchanged(method, g_dtype):
     new_state, out = engine.step(state, y, model, config, rng)
     for name, arr in cloud_arrays(state.cloud).items():
         np.testing.assert_array_equal(arr, before[name], err_msg=name)
-    cast = {"w_g"} if method == "full" and g_dtype == "float32" else set()
-    assert set(state.runner.work._arrays) == WORK_ARRAYS[method] | cast
+    slots = set()
+    if method == "full":
+        slots = {"w_g0", "w_g1"} if g_dtype == "float32" else {"cross1"}
+    assert set(state.runner.work._arrays) == WORK_ARRAYS[method] | slots
     assert_no_work_array(state.runner, [state.cloud, new_state.cloud], [out])
 
 

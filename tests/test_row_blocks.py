@@ -8,6 +8,7 @@ so the blocked update equals the one-block update to BLAS rounding.
 
 import contextlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -128,13 +129,73 @@ def test_blocked_update_equals_one_block_float32(kind, n_prev, n_new, clip, seed
     check_blocked_update_equals_one_block(pieces, assert_same_f32)
 
 
+@pytest.mark.parametrize("g_dtype", ["float64", "float32"])
 @pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
-def test_degenerate_row_in_a_later_block_names_its_row(clip):
+@pytest.mark.parametrize("kind", ["lgssm", "residual"])
+def test_overlapped_g_product_equals_serial_products(kind, clip, g_dtype):
+    # blocks of 8, 8 and 7 rows: each block's g rows are the product that the
+    # helper thread ran, the same BLAS call as one made in line, so they are equal
+    # bit for bit once the kernel scores' contraction is left out
+    model, runner, cloud, xi_new, y, kernel, log_q_new, config = update_pieces(
+        kind, 40, 23, clip, seed=11, g_dtype=g_dtype)
+    runner.kernel_phi_contract = lambda u1, u2, pot_raw, pot_acts, out: out
+    g_prev = cloud.g_stat
+    assert np.abs(g_prev).max() > 0
+    with block_rows(8, cloud.n):
+        blocks = engine.row_blocks(23, cloud.n)
+        new = engine.update_statistics(cloud, xi_new, model, runner, y, kernel, log_q_new,
+                                       config)
+        w = engine.weight_matrix(cloud, kernel, config).w
+    assert [b.stop - b.start for b in blocks] == [8, 8, 7]
+    want = np.concatenate([np.matmul(w[rows].astype(g_prev.dtype), g_prev)
+                           for rows in blocks])
+    assert new.g_stat.dtype == g_prev.dtype
+    np.testing.assert_array_equal(new.g_stat, want)
+
+
+def slow_helper(monkeypatch, delay_s):
+    """Make every g product wait ``delay_s`` before it runs; returns the list of
+    the products' futures, in the order submitted."""
+    futures = []
+    helper = engine._helper_thread()
+
+    class Slow:
+        def submit(self, fn, *args, **kwargs):
+            def late():
+                time.sleep(delay_s)
+                return fn(*args, **kwargs)
+            futures.append(helper.submit(late))
+            return futures[-1]
+
+    monkeypatch.setattr(engine, "_helper_thread", Slow)
+    return futures
+
+
+@pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
+def test_degenerate_row_in_a_later_block_names_its_row(clip, monkeypatch):
     model, runner, cloud, xi_new, y, kernel, log_q_new, config = update_pieces(
         "lgssm", 5, 7, clip, seed=3)
     (kernel.pot_eta1 if clip else kernel.eta1)[5] = np.nan
+    products = slow_helper(monkeypatch, 0.05)
     with block_rows(2, cloud.n), pytest.raises(DegenerateRow, match=r"weight row 5 "):
         engine.update_statistics(cloud, xi_new, model, runner, y, kernel, log_q_new, config)
+    # the error left after the products of blocks 0 and 1 had finished
+    assert len(products) == 2 and all(p.done() for p in products)
+    monkeypatch.undo()
+
+    # a clean update on the failed update's work arrays equals one on fresh arrays
+    def clean_update(work):
+        model, runner, cloud, xi_new, y, kernel, log_q_new, config = update_pieces(
+            "lgssm", 5, 7, clip, seed=3)
+        if work is not None:
+            runner.work = work
+        with block_rows(2, cloud.n):
+            return engine.update_statistics(cloud, xi_new, model, runner, y, kernel,
+                                            log_q_new, config)
+
+    got, want = clean_update(runner.work), clean_update(None)
+    for name in ("h_stat", "g_stat", "f_stat"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 def test_blocked_full_step_holds_no_dense_array():
