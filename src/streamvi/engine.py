@@ -69,25 +69,36 @@ weights are cast to float32 one block at a time for that product.  h
 and f never read g, so the ELBO and ``grad_theta`` do not depend on the
 setting.
 
-Overlap: on the full route a block's w @ g_prev reads only the block's
-weights and the carried g, so it runs on one helper thread while the
-main thread goes on with the float64 work: the bracket, the moments, the
-theta sums and the next block's cross and weights.  NumPy releases the
-GIL inside BLAS.  The helper's left operand alternates between two work
-arrays by block, the two float32 casts or, for a float64 g, two cross
-slots; a block waits for the product two blocks back before it writes
-its slot, so at most two products are in flight and none reads a buffer
-that is being written.  Every product has finished before
-``_finish_update`` starts, and before an error leaves
-``update_statistics``.  Each product is the same BLAS call on the same
-operands as when run in line, so outputs are bit-identical.  There is
-one helper per process, shared by every engine in it, made on the first
-full-route block that carries g, not at import; a forked child forgets
-its parent's helper (an ``os.register_at_fork`` hook) and makes its own.
+Overlap: on the full route one helper thread works beside the main
+thread, and NumPy releases the GIL inside its loops and BLAS.  The helper
+takes its tasks in this order: first the theta pair rows
+(``models.grad_theta_pair_rows``), which read only the previous cloud;
+then each block's w @ g_prev, which reads only the block's weights and
+the carried g, block 0's submitted before ``pair_terms`` is built.
+Meanwhile the main thread does the float64 work: the weights, the pair
+rows, the bracket, the moments and the theta sums, and at the end the
+tail's work that reads no g (the theta finish, the kernel moments and
+the phi contraction into a work array), which is added to g once the
+last products have finished.  The helper's left operand alternates
+between two work arrays by block, the two float32 casts or, for a
+float64 g, two cross slots; a block waits for the product two blocks
+back before it writes its slot, so at most two products are in flight
+and none reads a buffer that is being written.  Every task has
+finished before ``update_statistics`` returns or raises.  The helper
+runs only plain NumPy code, never a function that a profiler may wrap
+from outside (every public function the tracer of ``perfbench`` wraps
+runs on the main thread; ``mlp.vjp_params_cross_rows`` calls the
+untraced core of ``mlp.vjp_params_batched`` for that reason).  Each
+task is the same computation on the same operands as when run in line,
+so outputs are bit-identical.  There is one helper per process, shared
+by every engine in it, made on the first full-route update that carries
+g or f, not at import; a forked child forgets its parent's helper (an
+``os.register_at_fork`` hook) and makes its own.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -104,18 +115,19 @@ from .gaussian import GaussianNatural
 # N=2000 on a 2-core x86 VM with one BLAS thread, 0.5 MiB blocks were
 # slower, 1-8 MiB about as fast as one whole block, and larger blocks only
 # raised peak memory.  A block is also the grain of the overlap of w @ g_prev
-# with the float64 work: with one block, as at N=500, the product overlaps
-# only that block's bracket, moments and theta sums.
+# with the float64 work: with one block, as at N=500, the helper runs the
+# theta rows and then the one product, beside the main thread's pair rows,
+# bracket, moments, theta sums and the part of the tail that reads no g.
 ROW_BLOCK_BYTES = 4 << 20
 
-# The thread that runs the full route's w @ g_prev, one per process since
-# it is there to use the second core; made on first use.
+# The thread that runs the full route's theta rows and w @ g_prev, one per
+# process since it is there to use the second core; made on first use.
 _helper = None
 _helper_lock = threading.Lock()
 
 
 def _helper_thread():
-    """The one worker thread of the full route's g products."""
+    """The one worker thread of the full route's theta rows and g products."""
     global _helper
     with _helper_lock:
         if _helper is None:
@@ -149,10 +161,10 @@ class EngineConfig:
     g_dtype: str = "float32"        # storage of the carried phi statistic: float32 | float64
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if self.m_backward < 1:
-            raise ValueError("m_backward must be >= 1")
+        for name in ("n_particles", "m_backward"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.method not in ("full", "categorical", "accept_reject"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.g_dtype not in ("float32", "float64"):
@@ -289,28 +301,39 @@ class AmortizedRunner:
     def potential_batch(self, xs: np.ndarray):
         return var.potential_params_batch(self.params, xs)
 
+    @property
+    def pot_columns(self) -> slice:
+        """The potential head's columns of a phi-gradient row."""
+        spec = self.layout.by_name["head_potential"]
+        return slice(spec.offset, spec.offset + spec.size)
+
     def kernel_phi_contract(self, u1: np.ndarray, u2: np.ndarray, pot_raw: np.ndarray,
-                            pot_acts, out: np.ndarray | None = None) -> np.ndarray:
-        """Add the per-row phi-gradients of kernel cotangents (u1, u2) to ``out``.
+                            pot_acts, out: np.ndarray | None = None,
+                            pot_out: np.ndarray | None = None) -> np.ndarray:
+        """Write the per-row phi-gradients of kernel cotangents (u1, u2) into ``out``.
 
         The kernel's natural parameters are eta_prev + eta~(xi_i); both
         receive the same cotangent.  It stays contracted in natural
         parameters, d + d^2 numbers per row, until one product with the
-        previous chain's Jacobian widens it into ``out``; the potential
-        head's vjp goes into its own column slice.  The callers pass the
-        new cloud's g array, so no (n, dim_phi) array is returned fresh.
-        ``out`` defaults to float64 zeros; the product runs in its dtype,
-        and so does the work array it is written to first.  Returns ``out``.
+        previous chain's Jacobian widens it into ``out``, in ``out``'s
+        dtype (a new float64 array by default).  The chain does not reach
+        the potential head, so the product leaves the head's columns
+        (``pot_columns``) zero; the head's float64 vjp is added to them, or
+        written into ``pot_out`` if given.  The engine passes ``pot_out``
+        and adds it after ``out``, so that a float32 g meets the vjp
+        unrounded.  Returns ``out``.
         """
-        dtype = np.float64 if out is None else out.dtype
-        work = self.work.get("phi", (u1.shape[0], self.dim_phi), dtype)
-        out = gradients.marginal_cotangent_phi(self.chain_prev, u1, u2, out, work=work)
+        if out is None:
+            out = np.empty((u1.shape[0], self.dim_phi))
+        gradients.marginal_cotangent_phi(self.chain_prev, u1, u2, work=out)
         raw_cots = var.natural_cotangent_to_raw(pot_raw, u1, u2, self.params.d_x,
                                                 diag_softplus=False)
         pot_grads = var.mlp.vjp_params_batched(self.params.head_potential,
                                                None, raw_cots, acts=pot_acts)
-        spec = self.layout.by_name["head_potential"]
-        out[:, spec.offset:spec.offset + spec.size] += pot_grads
+        if pot_out is None:
+            out[:, self.pot_columns] += pot_grads
+        else:
+            pot_out[...] = pot_grads
         return out
 
 
@@ -523,13 +546,19 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
     that contract the kernel scores, and h_new as its last column; w, cast
     to g's dtype, times g_prev goes straight into the new g's rows; and
     one product of w with ``models.grad_theta_pair_rows`` (the carried f
-    first) gives the theta side.  The g product runs on the helper thread
-    (see the module docstring), from one of two slots that alternate by
-    block.  ``_finish_update``, shared with the sampled route, completes
-    the step once every product has finished.  The previous-particle rows
-    are built once per step.  The block arrays (the weights, the bracket
-    and the helper's two slots), the moments and the theta sums are the
-    runner's work arrays, reused across steps; only h, g and f are new.
+    first) gives the theta side.
+
+    The helper thread (see the module docstring) takes, in this order,
+    the theta rows, which read only the previous cloud, and then each
+    block's g product, from one of two slots that alternate by block.
+    Block 0's g product is submitted before ``pair_terms`` is built, and
+    ``_finish_update``, shared with the sampled route, does everything
+    that reads no g before it waits for the last products.  Every task
+    has finished when the update returns or raises.  The previous-particle
+    rows are built once per step.  The block arrays (the weights, the
+    bracket and the helper's two slots), the moments, the theta sums and
+    the tail's phi rows are the runner's work arrays, reused across steps;
+    only h, g and f are new.
     """
     n_new = xi_new.shape[0]
     n_prev = cloud_prev.n
@@ -537,27 +566,26 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
     blocks = row_blocks(n_new, n_prev)
     block_shape = (blocks[0].stop, n_prev)
     stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
-    left, right = pair_terms(model, cloud_prev, xi_new, y_t, kernel, stats_prev)
     moments = work.get("moments", (n_new, stats_prev.shape[1]))   # (N_new, d + d*d + 1)
     crosses = [work.get("cross", block_shape)]
     bracket = work.get("bracket", block_shape)
     h_new = np.empty(n_new)
-    g_new = theta_rows = theta_sums = None
+    g_new = theta_task = theta_rows = theta_sums = left = None
     casts = []
-    if cloud_prev.g_stat is not None:
-        g_prev = cloud_prev.g_stat
-        g_new = np.empty((n_new, g_prev.shape[1]), dtype=g_prev.dtype)
-        # the helper reads one block's slot while the main thread fills the next
-        if g_prev.dtype == np.float64:
-            crosses.append(work.get("cross1", block_shape))
-        else:
-            casts = [work.get(f"w_g{k}", block_shape, g_prev.dtype) for k in (0, 1)]
-    if cloud_prev.f_stat is not None:
-        theta_rows = models.grad_theta_pair_rows(model, cloud_prev.xi, cloud_prev.f_stat)
-        theta_sums = work.get("theta_sums", (n_new, theta_rows.shape[1]))
-
     pending = []   # the helper's g products in flight, oldest first
     try:
+        if cloud_prev.f_stat is not None:
+            theta_task = _helper_thread().submit(models.grad_theta_pair_rows, model,
+                                                 cloud_prev.xi, cloud_prev.f_stat)
+        if cloud_prev.g_stat is not None:
+            g_prev = cloud_prev.g_stat
+            g_new = np.empty((n_new, g_prev.shape[1]), dtype=g_prev.dtype)
+            # the helper reads one block's slot while the main thread fills the next
+            if g_prev.dtype == np.float64:
+                crosses.append(work.get("cross1", block_shape))
+            else:
+                casts = [work.get(f"w_g{k}", block_shape, g_prev.dtype) for k in (0, 1)]
+
         for k, rows in enumerate(blocks):
             size = rows.stop - rows.start
             if len(pending) == 2:
@@ -571,45 +599,65 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
                     w_g[...] = w
                 pending.append(_helper_thread().submit(np.matmul, w_g, g_prev,
                                                        out=g_new[rows]))
+            if left is None:
+                left, right = pair_terms(model, cloud_prev, xi_new, y_t, kernel, stats_prev)
             cw = np.matmul(left[rows], right.T, out=bracket[:size])
             cw *= w
             block = moments[rows]
             np.matmul(cw, stats_prev, out=block)
             h_new[rows] = block[:, -1]
-            if theta_rows is not None:
+            if theta_task is not None:
+                if theta_rows is None:
+                    theta_rows = theta_task.result()
+                    theta_sums = work.get("theta_sums", (n_new, theta_rows.shape[1]))
                 np.matmul(w, theta_rows, out=theta_sums[rows])
-        while pending:
-            pending.pop(0).result()
-    finally:
-        for product in pending:
-            product.exception()   # waits; the error in flight is the one raised
 
-    return _finish_update(cloud_prev, model, runner, y_t, xi_new, log_q_new, kernel, h_new,
-                          moments, g_new, theta_sums)
+        def drain():
+            for product in pending:
+                product.result()
+
+        return _finish_update(cloud_prev, model, runner, y_t, xi_new, log_q_new, kernel,
+                              h_new, moments, g_new, theta_sums, g_ready=drain)
+    finally:
+        for task in [theta_task, *pending]:
+            if task is not None:
+                task.exception()   # waits; the error in flight is the one raised
 
 
 def _finish_update(cloud_prev: ParticleCloud, model, runner, y_t: np.ndarray,
                    xi_new: np.ndarray, log_q_new: np.ndarray, kernel: KernelBatch,
                    h_new: np.ndarray, moments: np.ndarray | None, g_new: np.ndarray | None,
-                   theta_sums: np.ndarray | None) -> ParticleCloud:
+                   theta_sums: np.ndarray | None, g_ready=None) -> ParticleCloud:
     """The tail of both routes: g, f and the checked cloud of time
     ``cloud_prev.t + 1`` from weighted sums.
 
     ``moments`` holds sum_j c_ij [x_j, vec(x_j x_j'), 1], c the bracket
     (centered on the sampled route) times the weights, which contracts
-    the kernel scores into ``g_new``, already the weighted carried g;
-    ``theta_sums`` is the weights times ``models.grad_theta_pair_rows``.
+    the kernel scores into phi rows that are then added to ``g_new``, the
+    weighted carried g; ``theta_sums`` is the weights times
+    ``models.grad_theta_pair_rows``.  Nothing reads ``g_new`` before
+    ``g_ready()``, if given, returns: on the full route the helper may
+    still be writing it until then.
     """
     d = xi_new.shape[1]
+    f_new = None
+    if theta_sums is not None:
+        f_new = models.grad_theta_pair_finish(model, xi_new, y_t, theta_sums)
     if g_new is not None:
         mean, second = gaussian.mean_params_batch(kernel.eta1, kernel.eta2)
         mass = moments[:, -1]
         u1 = moments[:, :d] - mass[:, None] * mean
         u2 = moments[:, d:-1].reshape(-1, d, d) - mass[:, None, None] * second
-        runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts, out=g_new)
-    f_new = None
-    if theta_sums is not None:
-        f_new = models.grad_theta_pair_finish(model, xi_new, y_t, theta_sums)
+        pot_cols = runner.pot_columns
+        pot = runner.work.get("phi_pot", (g_new.shape[0], pot_cols.stop - pot_cols.start))
+        phi = runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts,
+                                         out=runner.work.get("phi", g_new.shape, g_new.dtype),
+                                         pot_out=pot)
+    if g_ready is not None:
+        g_ready()
+    if g_new is not None:
+        g_new += phi
+        g_new[:, pot_cols] += pot
     return _checked_cloud(runner, xi_new, log_q_new, cloud_prev.t + 1, h_new, g_new, f_new)
 
 

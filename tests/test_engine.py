@@ -334,6 +334,14 @@ class TestBackwardSampling:
     def test_default_m_is_two(self):
         assert engine.EngineConfig().m_backward == 2
 
+    @pytest.mark.parametrize("field", ["n_particles", "m_backward"])
+    @pytest.mark.parametrize("value", [16.0, 2.5, "16", None, 0, -3])
+    def test_particle_counts_must_be_positive_integers(self, field, value):
+        # not later, as a TypeError inside gaussian.sample or the draws
+        with pytest.raises(ValueError, match=field):
+            engine.EngineConfig(method="categorical", **{field: value})
+        assert getattr(engine.EngineConfig(**{field: np.int64(3)}), field) == 3
+
     @pytest.mark.parametrize("lo,hi", [(5.0, 1.0), (2.0, 2.0), (float("nan"), 1.0)])
     def test_inverted_clip_bounds_raise(self, lo, hi):
         # np.clip with lo > hi would map every potential to hi: uniform rows

@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 
-from streamvi import engine, models, variational as var
+from streamvi import engine, mlp, models, variational as var
 
 CODE = """
 import os
@@ -58,9 +58,16 @@ def test_no_helper_at_set_up_and_a_forked_child_steps():
     assert out.stdout.split() == ["child", "0"], out.stdout + out.stderr
 
 
-def full_stream(seed, g_dtype, n=48, steps=4):
+def full_stream(seed, g_dtype, kind, n=48, steps=4):
     rng = np.random.default_rng(seed)
-    model = models.LinearGaussianSSM(F=0.7 * np.eye(2), G=np.eye(2), q_var=0.1, r_var=0.25)
+    if kind == "lgssm":
+        model = models.LinearGaussianSSM(F=0.7 * np.eye(2), G=np.eye(2), q_var=0.1,
+                                         r_var=0.25)
+    else:
+        model = models.ResidualNonlinearSSM(
+            f_net=mlp.init_mlp(rng, [2, 6, 2], scale=0.5),
+            g_net=mlp.init_mlp(rng, [2, 6, 2], scale=0.5),
+            q_diag=np.full(2, 0.1), r_diag=np.full(2, 0.25))
     runner = engine.AmortizedRunner(var.init_amortizer(rng, 2, 2, hidden=4, head_hidden=(5,),
                                                        pot_hidden=(5,), scale=0.6))
     config = engine.EngineConfig(n_particles=n, method="full", g_dtype=g_dtype)
@@ -73,9 +80,12 @@ def full_stream(seed, g_dtype, n=48, steps=4):
 
 
 def test_engines_in_threads_share_the_helper(monkeypatch):
-    # blocks of 5 rows, four streams on more threads than cores, switching often
+    # blocks of 5 rows, eight streams on more threads than cores, switching
+    # often; every stream carries f, so the theta-rows tasks and the g products
+    # of different engines interleave on the one helper
     monkeypatch.setattr(engine, "ROW_BLOCK_BYTES", 8 * 48 * 5)
-    cases = [(seed, g_dtype) for seed in (1, 2) for g_dtype in ("float32", "float64")]
+    cases = [(seed, g_dtype, kind) for seed in (1, 2) for g_dtype in ("float32", "float64")
+             for kind in ("lgssm", "residual")]
     want = [full_stream(*case) for case in cases]
     got = [None] * len(cases)
 

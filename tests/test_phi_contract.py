@@ -79,7 +79,7 @@ def expanded_kernel_contract(runner, u1, u2, pot_raw, pot_acts):
 
 def kernel_contract_case(n, g_dtype):
     """The arguments of ``kernel_phi_contract``, its expanded form and a
-    float64 g to add it to."""
+    float64 array of noise for it to overwrite."""
     state, _, config, rng, y = make_run(n, seed=20 + n, g_dtype=g_dtype)
     runner = state.runner
     runner.begin_step(y)
@@ -93,12 +93,30 @@ def kernel_contract_case(n, g_dtype):
 
 
 @pytest.mark.parametrize("n", [1, 6])
-def test_kernel_phi_contract_adds_the_expanded_form(n):
+def test_kernel_phi_contract_writes_the_expanded_form(n):
     runner, args, want, g = kernel_contract_case(n, "float64")
     got = g.copy()
     assert runner.kernel_phi_contract(*args, out=got) is got
-    assert_close(got, g + want)
+    assert_close(got, want)
     assert_close(runner.kernel_phi_contract(*args), want)
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_kernel_phi_contract_writes_the_potential_head_apart(n):
+    # with ``pot_out`` the head's columns of ``out`` hold the chain's product,
+    # zero, and ``pot_out`` the float64 vjp that the caller adds after it
+    runner, args, want, g = kernel_contract_case(n, "float32")
+    cols = runner.pot_columns
+    got, pot = g.astype(np.float32), np.full((n, cols.stop - cols.start), np.nan)
+    assert runner.kernel_phi_contract(*args, out=got, pot_out=pot) is got
+    assert not got[:, cols].any()
+    assert_close(pot, want[:, cols])
+    # without it the same product, and the vjp added into the head's columns
+    whole = runner.kernel_phi_contract(*args, out=np.empty((n, runner.dim_phi), np.float32))
+    others = np.ones(runner.dim_phi, dtype=bool)
+    others[cols] = False
+    np.testing.assert_array_equal(got[:, others], whole[:, others])
+    np.testing.assert_array_equal(whole[:, cols], pot.astype(np.float32))
 
 
 @pytest.mark.parametrize("n", [1, 6])
@@ -108,9 +126,8 @@ def test_kernel_phi_contract_runs_in_the_dtype_of_out(n):
     assert runner.kernel_phi_contract(*args, out=got) is got
     assert got.dtype == np.float32
     # float32 rounding: rtol 1e-5, with an absolute floor at 1e-5 of the largest entry
-    expect = g.astype(np.float32).astype(np.float64) + want
-    np.testing.assert_allclose(got, expect, rtol=1e-5, atol=1e-5 * np.abs(expect).max())
-    # without ``out`` the result is float64, whatever the work array held before
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+    # without ``out`` the result is float64
     fresh = runner.kernel_phi_contract(*args)
     assert fresh.dtype == np.float64
     assert_close(fresh, want)
@@ -153,9 +170,10 @@ def cloud_arrays(cloud):
 # g product runs on a helper thread that reads one block while the main
 # thread fills the next, so its left operand has two slots: "w_g0" and
 # "w_g1", the weights cast to float32, or for a float64 g a second cross
-# slot, "cross1"
-WORK_ARRAYS = {"full": {"phi", "cross", "bracket", "moments", "theta_sums"},
-               "categorical": {"phi"}, "accept_reject": {"phi"}}
+# slot, "cross1".  "phi" and "phi_pot" hold the kernel scores' phi rows and
+# the potential head's part of them, which every route adds to the new g
+WORK_ARRAYS = {"full": {"phi", "phi_pot", "cross", "bracket", "moments", "theta_sums"},
+               "categorical": {"phi", "phi_pot"}, "accept_reject": {"phi", "phi_pot"}}
 
 
 def assert_no_work_array(runner, clouds, outs=()):

@@ -138,7 +138,7 @@ def test_overlapped_g_product_equals_serial_products(kind, clip, g_dtype):
     # bit for bit once the kernel scores' contraction is left out
     model, runner, cloud, xi_new, y, kernel, log_q_new, config = update_pieces(
         kind, 40, 23, clip, seed=11, g_dtype=g_dtype)
-    runner.kernel_phi_contract = lambda u1, u2, pot_raw, pot_acts, out: out
+    runner.kernel_phi_contract = no_kernel_scores
     g_prev = cloud.g_stat
     assert np.abs(g_prev).max() > 0
     with block_rows(8, cloud.n):
@@ -153,10 +153,18 @@ def test_overlapped_g_product_equals_serial_products(kind, clip, g_dtype):
     np.testing.assert_array_equal(new.g_stat, want)
 
 
+def no_kernel_scores(u1, u2, pot_raw, pot_acts, out, pot_out):
+    """``kernel_phi_contract`` with all kernel scores zero: it writes zeros,
+    which the update then adds to g."""
+    out[...] = 0.0
+    pot_out[...] = 0.0
+    return out
+
+
 def slow_helper(monkeypatch, delay_s):
-    """Make every g product wait ``delay_s`` before it runs; returns the list of
-    the products' futures, in the order submitted."""
-    futures = []
+    """Make every helper task wait ``delay_s`` before it runs; returns the list
+    of (function name, future) of the tasks, in the order submitted."""
+    tasks = []
     helper = engine._helper_thread()
 
     class Slow:
@@ -164,26 +172,30 @@ def slow_helper(monkeypatch, delay_s):
             def late():
                 time.sleep(delay_s)
                 return fn(*args, **kwargs)
-            futures.append(helper.submit(late))
-            return futures[-1]
+            tasks.append((fn.__name__, helper.submit(late)))
+            return tasks[-1][1]
 
     monkeypatch.setattr(engine, "_helper_thread", Slow)
-    return futures
+    return tasks
 
 
-@pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
-def test_degenerate_row_in_a_later_block_names_its_row(clip, monkeypatch):
+def check_failed_update_leaves_nothing_running(monkeypatch, clip, breakage, error, match,
+                                               n_products):
+    """``update_statistics`` on blocks of 2 of 7 rows, with slow helper tasks
+    and ``breakage(kernel)`` done first, raises ``error``; when it leaves, the
+    theta-rows task and ``n_products`` g products have been submitted and all
+    have finished, and a clean update on the failed update's work arrays
+    equals one on fresh arrays."""
     model, runner, cloud, xi_new, y, kernel, log_q_new, config = update_pieces(
         "lgssm", 5, 7, clip, seed=3)
-    (kernel.pot_eta1 if clip else kernel.eta1)[5] = np.nan
-    products = slow_helper(monkeypatch, 0.05)
-    with block_rows(2, cloud.n), pytest.raises(DegenerateRow, match=r"weight row 5 "):
+    breakage(kernel)
+    tasks = slow_helper(monkeypatch, 0.05)
+    with block_rows(2, cloud.n), pytest.raises(error, match=match):
         engine.update_statistics(cloud, xi_new, model, runner, y, kernel, log_q_new, config)
-    # the error left after the products of blocks 0 and 1 had finished
-    assert len(products) == 2 and all(p.done() for p in products)
+    assert [name for name, _ in tasks] == ["grad_theta_pair_rows"] + ["matmul"] * n_products
+    assert all(task.done() for _, task in tasks)
     monkeypatch.undo()
 
-    # a clean update on the failed update's work arrays equals one on fresh arrays
     def clean_update(work):
         model, runner, cloud, xi_new, y, kernel, log_q_new, config = update_pieces(
             "lgssm", 5, 7, clip, seed=3)
@@ -196,6 +208,40 @@ def test_degenerate_row_in_a_later_block_names_its_row(clip, monkeypatch):
     got, want = clean_update(runner.work), clean_update(None)
     for name in ("h_stat", "g_stat", "f_stat"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+@pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
+def test_degenerate_row_in_a_later_block_names_its_row(clip, monkeypatch):
+    # row 5 is in block 2: the error leaves after blocks 0 and 1 submitted their products
+    def breakage(kernel):
+        (kernel.pot_eta1 if clip else kernel.eta1)[5] = np.nan
+
+    check_failed_update_leaves_nothing_running(monkeypatch, clip, breakage, DegenerateRow,
+                                               r"weight row 5 ", n_products=2)
+
+
+@pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
+def test_degenerate_row_in_block_0_waits_for_the_theta_rows(clip, monkeypatch):
+    # the error leaves before any g product, while the theta rows still run
+    def breakage(kernel):
+        (kernel.pot_eta1 if clip else kernel.eta1)[1] = np.nan
+
+    check_failed_update_leaves_nothing_running(monkeypatch, clip, breakage, DegenerateRow,
+                                               r"weight row 1 ", n_products=0)
+
+
+@pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
+def test_failed_theta_rows_leave_nothing_running(clip, monkeypatch):
+    # the theta rows raise on the helper; the main thread meets the error at
+    # block 0's theta sums, with block 0's g product still waiting behind it
+    def pair_features(self, xs_prev):
+        raise ValueError("no pair features")
+
+    def breakage(kernel):
+        monkeypatch.setattr(models.LinearGaussianSSM, "pair_features", pair_features)
+
+    check_failed_update_leaves_nothing_running(monkeypatch, clip, breakage, ValueError,
+                                               "no pair features", n_products=1)
 
 
 def test_blocked_full_step_holds_no_dense_array():
