@@ -47,20 +47,28 @@ with clipping the clamped potentials) is normalised in place into the
 block's weights; the pair bracket h_prev_j + log m(x_j -> x_i) + log g(x_i)
 - log k_i(x_j) of those rows is one more product; and the weights'
 products with the carried g, the sufficient statistics and the model's
-theta rows fill the block's rows of the new statistics.  Everything on
-the previous-particle side is built once per step.  So a step holds
-the weights, the bracket and the two slots of the g product (below):
-block-sized arrays that the runner keeps across steps, and no
-N x N array; only the categorical draws assemble the whole weight
-matrix, block by block (``weight_matrix``).
+theta rows fill the block's rows of the new statistics.  The bracket and
+its product with the sufficient statistics run over chunks of the
+block's rows, ``CHUNK_BYTES`` each.  Everything on the previous-particle
+side is built once per step.  So a step holds the weights, one chunk of
+the bracket and the two slots of the g product (below): arrays that the
+runner keeps across steps, and no N x N array; only the categorical
+draws assemble the whole weight matrix, block by block
+(``weight_matrix``).  Nor does any route keep a second array of g's
+shape: the tail adds the kernel scores' phi rows to the new g, and the
+sampled route gathers the carried g into it, one chunk of rows at a
+time.
 
 Precision: the carried phi statistic g is stored, gathered and
 multiplied in ``EngineConfig.g_dtype``, float32 by default.  Everything
 else is float64: h, f, the weights, the pair bracket, the moments, the
 kernel cotangents, the ELBO and both gradient outputs.  The reductions
 that set the estimate's accuracy, the log-sum-exp weights and the final
-mean over particles, stay in float64; the mean of g is taken with a
-float64 accumulator.  Each step a g row is a weighted mean of the
+mean over particles, stay in float64: the tail sums g's columns with a
+float64 accumulator, chunk by chunk, and ``estimate`` divides those sums
+by N.  Summed by chunks rather than in one pass, they differ from
+``g.mean(axis=0, dtype=float64)`` by rounding only, about 1e-14
+relative.  Each step a g row is a weighted mean of the
 previous rows plus one increment, both rounded to float32, so
 ``grad_phi`` moves by about 1e-7 relative to the float64 path, far below
 its Monte Carlo spread.  In exchange the full route's w @ g_prev, the
@@ -77,9 +85,11 @@ then each block's w @ g_prev, which reads only the block's weights and
 the carried g, block 0's submitted before ``pair_terms`` is built.
 Meanwhile the main thread does the float64 work: the weights, the pair
 rows, the bracket, the moments and the theta sums, and at the end the
-tail's work that reads no g (the theta finish, the kernel moments and
-the phi contraction into a work array), which is added to g once the
-last products have finished.  The helper's left operand alternates
+tail's work that reads no g (the theta finish, the kernel cotangents
+and the potential head's vjp rows, into a work array).  Once the last
+products have finished, one pass over the new g adds the kernel scores'
+phi rows and sums g's columns.  The theta rows go into a work array that
+the main thread made.  The helper's left operand alternates
 between two work arrays by block, the two float32 casts or, for a
 float64 g, two cross slots; a block waits for the product two blocks
 back before it writes its slot, so at most two products are in flight
@@ -119,6 +129,17 @@ from .gaussian import GaussianNatural
 # theta rows and then the one product, beside the main thread's pair rows,
 # bracket, moments, theta sums and the part of the tail that reads no g.
 ROW_BLOCK_BYTES = 4 << 20
+
+# Bytes of one chunk of rows in the passes that need no whole block: a
+# block's bracket and moments, the tail's one pass over the new g (the
+# kernel scores' phi rows, the potential head's columns and g's column
+# sums) and the sampled route's gathers.  A chunk stays in L2 (2 MiB per
+# core on the VM above) between the operations on it, and only the
+# bracket and the gather buffer are chunk-sized arrays.  At N=2000 the
+# tail with estimate took 10.3-10.5 ms (median) at 256 KiB - 1 MiB
+# chunks, against 11.2 at 128 KiB and 11.4 at 4 MiB; the smallest of the
+# fast sizes holds the least scratch.
+CHUNK_BYTES = 256 << 10
 
 # The thread that runs the full route's theta rows and w @ g_prev, one per
 # process since it is there to use the second core; made on first use.
@@ -190,6 +211,7 @@ class ParticleCloud:
     eta: GaussianNatural               # marginal the particles were drawn from
     t: int
     chain: gradients.MarginalChain | None = None  # context for phi-scores
+    g_sum: np.ndarray | None = None    # (dim_phi,) float64 column sums of g_stat, if taken
 
     @property
     def n(self) -> int:
@@ -307,33 +329,34 @@ class AmortizedRunner:
         spec = self.layout.by_name["head_potential"]
         return slice(spec.offset, spec.offset + spec.size)
 
-    def kernel_phi_contract(self, u1: np.ndarray, u2: np.ndarray, pot_raw: np.ndarray,
-                            pot_acts, out: np.ndarray | None = None,
-                            pot_out: np.ndarray | None = None) -> np.ndarray:
-        """Write the per-row phi-gradients of kernel cotangents (u1, u2) into ``out``.
+    def potential_phi_rows(self, u1: np.ndarray, u2: np.ndarray, pot_raw: np.ndarray,
+                           pot_acts, out: np.ndarray) -> np.ndarray:
+        """Write the potential head's part of the kernel cotangents' phi rows into ``out``.
+
+        Row i is the float64 per-sample vjp of the head at xi_i under the
+        raw cotangent of (u1_i, u2_i): the ``pot_columns`` of the row that
+        ``kernel_phi_contract`` adds.  Returns ``out``, (n, head size).
+        """
+        raw_cots = var.natural_cotangent_to_raw(pot_raw, u1, u2, self.params.d_x,
+                                                diag_softplus=False)
+        return var.mlp.vjp_params_batched(self.params.head_potential, None, raw_cots,
+                                          acts=pot_acts, out=out)
+
+    def kernel_phi_contract(self, u1: np.ndarray, u2: np.ndarray, pot: np.ndarray,
+                            out: np.ndarray) -> np.ndarray:
+        """Add the per-row phi-gradients of kernel cotangents (u1, u2) to ``out``.
 
         The kernel's natural parameters are eta_prev + eta~(xi_i); both
         receive the same cotangent.  It stays contracted in natural
         parameters, d + d^2 numbers per row, until one product with the
-        previous chain's Jacobian widens it into ``out``, in ``out``'s
-        dtype (a new float64 array by default).  The chain does not reach
-        the potential head, so the product leaves the head's columns
-        (``pot_columns``) zero; the head's float64 vjp is added to them, or
-        written into ``pot_out`` if given.  The engine passes ``pot_out``
-        and adds it after ``out``, so that a float32 g meets the vjp
-        unrounded.  Returns ``out``.
+        previous chain's Jacobian widens it, in ``out``'s dtype, and adds
+        it to ``out``.  The chain does not reach the potential head, so
+        the head's columns (``pot_columns``) get ``pot`` instead, the rows
+        of ``potential_phi_rows``, added after the product so that a
+        float32 g meets the float64 vjp unrounded.  Returns ``out``.
         """
-        if out is None:
-            out = np.empty((u1.shape[0], self.dim_phi))
-        gradients.marginal_cotangent_phi(self.chain_prev, u1, u2, work=out)
-        raw_cots = var.natural_cotangent_to_raw(pot_raw, u1, u2, self.params.d_x,
-                                                diag_softplus=False)
-        pot_grads = var.mlp.vjp_params_batched(self.params.head_potential,
-                                               None, raw_cots, acts=pot_acts)
-        if pot_out is None:
-            out[:, self.pot_columns] += pot_grads
-        else:
-            pot_out[...] = pot_grads
+        gradients.marginal_cotangent_phi(self.chain_prev, u1, u2, out=out)
+        out[:, self.pot_columns] += pot
         return out
 
 
@@ -419,8 +442,17 @@ def build_kernel(runner, xi_new: np.ndarray) -> KernelBatch:
 def row_blocks(n_new: int, n_prev: int) -> list[slice]:
     """Consecutive slices of the new-particle rows, ``ROW_BLOCK_BYTES`` of
     float64 per (rows, n_prev) array and at least one row each."""
-    size = max(1, ROW_BLOCK_BYTES // (8 * n_prev))
-    return [slice(lo, min(lo + size, n_new)) for lo in range(0, n_new, size)]
+    return _slices(n_new, max(1, ROW_BLOCK_BYTES // (8 * n_prev)))
+
+
+def row_chunks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices of ``n_rows`` rows of ``row_bytes`` bytes each,
+    ``CHUNK_BYTES`` per chunk and at least one row each."""
+    return _slices(n_rows, max(1, CHUNK_BYTES // row_bytes))
+
+
+def _slices(n: int, size: int) -> list[slice]:
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def block_weights(cloud_prev: ParticleCloud, kernel: KernelBatch, config: EngineConfig,
@@ -510,14 +542,16 @@ def pair_terms(model, cloud_prev: ParticleCloud, xi_new: np.ndarray, y_t: np.nda
 def _check_finite(cloud: ParticleCloud) -> None:
     """Raise ``NonFiniteStatistic`` naming the first particle with a NaN or inf.
 
-    One sum per statistic; only when it is not finite are the elements
-    searched, so a finite array whose sum overflows passes.
+    One sum per statistic, for g the cloud's column sums when it has
+    them; only when a sum is not finite are the elements searched, so a
+    finite array whose sum overflows passes.
     """
-    for name, arr in (("h", cloud.h_stat), ("g", cloud.g_stat), ("f", cloud.f_stat)):
+    for name, arr, total in (("h", cloud.h_stat, None), ("g", cloud.g_stat, cloud.g_sum),
+                             ("f", cloud.f_stat, None)):
         if arr is None:
             continue
         with np.errstate(over="ignore", invalid="ignore"):
-            if np.isfinite(arr.sum()):
+            if np.isfinite(arr.sum() if total is None else total).all():
                 continue
         bad = np.nonzero(~np.isfinite(arr))[0]
         if bad.size:
@@ -526,10 +560,11 @@ def _check_finite(cloud: ParticleCloud) -> None:
 
 
 def _checked_cloud(runner, xi: np.ndarray, log_q: np.ndarray, t: int, h: np.ndarray,
-                   g: np.ndarray | None, f: np.ndarray | None) -> ParticleCloud:
+                   g: np.ndarray | None, f: np.ndarray | None,
+                   g_sum: np.ndarray | None = None) -> ParticleCloud:
     """The cloud of time ``t`` under the runner's current marginal, checked finite."""
     cloud = ParticleCloud(xi=xi, h_stat=h, g_stat=g, f_stat=f, log_q_marginal=log_q,
-                          eta=runner.current_eta(), t=t, chain=runner.chain_cur)
+                          eta=runner.current_eta(), t=t, chain=runner.chain_cur, g_sum=g_sum)
     _check_finite(cloud)
     return cloud
 
@@ -555,10 +590,11 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
     ``_finish_update``, shared with the sampled route, does everything
     that reads no g before it waits for the last products.  Every task
     has finished when the update returns or raises.  The previous-particle
-    rows are built once per step.  The block arrays (the weights, the
-    bracket and the helper's two slots), the moments, the theta sums and
-    the tail's phi rows are the runner's work arrays, reused across steps;
-    only h, g and f are new.
+    rows are built once per step.  Within a block the bracket runs over
+    chunks of ``CHUNK_BYTES`` (``row_chunks``).  The block arrays (the
+    weights and the helper's two slots), the bracket chunk, the moments,
+    the theta rows and sums and the potential head's phi rows are the
+    runner's work arrays, reused across steps; only h, g and f are new.
     """
     n_new = xi_new.shape[0]
     n_prev = cloud_prev.n
@@ -568,15 +604,18 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
     stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
     moments = work.get("moments", (n_new, stats_prev.shape[1]))   # (N_new, d + d*d + 1)
     crosses = [work.get("cross", block_shape)]
-    bracket = work.get("bracket", block_shape)
+    bracket = work.get("bracket", (row_chunks(blocks[0].stop, 8 * n_prev)[0].stop, n_prev))
     h_new = np.empty(n_new)
     g_new = theta_task = theta_rows = theta_sums = left = None
     casts = []
     pending = []   # the helper's g products in flight, oldest first
     try:
         if cloud_prev.f_stat is not None:
+            theta_rows = work.get("theta_rows", (n_prev, models.pair_rows_dim(model)))
+            theta_sums = work.get("theta_sums", (n_new, theta_rows.shape[1]))
             theta_task = _helper_thread().submit(models.grad_theta_pair_rows, model,
-                                                 cloud_prev.xi, cloud_prev.f_stat)
+                                                 cloud_prev.xi, cloud_prev.f_stat,
+                                                 out=theta_rows)
         if cloud_prev.g_stat is not None:
             g_prev = cloud_prev.g_stat
             g_new = np.empty((n_new, g_prev.shape[1]), dtype=g_prev.dtype)
@@ -601,15 +640,14 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
                                                        out=g_new[rows]))
             if left is None:
                 left, right = pair_terms(model, cloud_prev, xi_new, y_t, kernel, stats_prev)
-            cw = np.matmul(left[rows], right.T, out=bracket[:size])
-            cw *= w
-            block = moments[rows]
-            np.matmul(cw, stats_prev, out=block)
+            left_block, block = left[rows], moments[rows]
+            for c in row_chunks(size, 8 * n_prev):
+                cw = np.matmul(left_block[c], right.T, out=bracket[:c.stop - c.start])
+                cw *= w[c]
+                np.matmul(cw, stats_prev, out=block[c])
             h_new[rows] = block[:, -1]
             if theta_task is not None:
-                if theta_rows is None:
-                    theta_rows = theta_task.result()
-                    theta_sums = work.get("theta_sums", (n_new, theta_rows.shape[1]))
+                theta_task.result()
                 np.matmul(w, theta_rows, out=theta_sums[rows])
 
         def drain():
@@ -627,7 +665,8 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
 def _finish_update(cloud_prev: ParticleCloud, model, runner, y_t: np.ndarray,
                    xi_new: np.ndarray, log_q_new: np.ndarray, kernel: KernelBatch,
                    h_new: np.ndarray, moments: np.ndarray | None, g_new: np.ndarray | None,
-                   theta_sums: np.ndarray | None, g_ready=None) -> ParticleCloud:
+                   theta_sums: np.ndarray | None, g_ready=None,
+                   idx: np.ndarray | None = None) -> ParticleCloud:
     """The tail of both routes: g, f and the checked cloud of time
     ``cloud_prev.t + 1`` from weighted sums.
 
@@ -635,12 +674,19 @@ def _finish_update(cloud_prev: ParticleCloud, model, runner, y_t: np.ndarray,
     (centered on the sampled route) times the weights, which contracts
     the kernel scores into phi rows that are then added to ``g_new``, the
     weighted carried g; ``theta_sums`` is the weights times
-    ``models.grad_theta_pair_rows``.  Nothing reads ``g_new`` before
+    ``models.grad_theta_pair_rows``.  The theta finish, the kernel
+    cotangents and the potential head's rows (``phi_pot``, a work array)
+    read no g and come first.  Nothing reads ``g_new`` before
     ``g_ready()``, if given, returns: on the full route the helper may
-    still be writing it until then.
+    still be writing it until then.  Then one pass over ``g_new``'s rows,
+    ``CHUNK_BYTES`` at a time, adds the kernel scores' phi rows and the
+    head's (``runner.kernel_phi_contract``) and sums g's columns in
+    float64 while the chunk is in cache; on the sampled route, given the
+    draws ``idx``, the pass first gathers the chunk's carried g.  The
+    sums check g for finiteness and give ``estimate`` g's mean.
     """
     d = xi_new.shape[1]
-    f_new = None
+    f_new = g_sum = None
     if theta_sums is not None:
         f_new = models.grad_theta_pair_finish(model, xi_new, y_t, theta_sums)
     if g_new is not None:
@@ -648,17 +694,23 @@ def _finish_update(cloud_prev: ParticleCloud, model, runner, y_t: np.ndarray,
         mass = moments[:, -1]
         u1 = moments[:, :d] - mass[:, None] * mean
         u2 = moments[:, d:-1].reshape(-1, d, d) - mass[:, None, None] * second
-        pot_cols = runner.pot_columns
-        pot = runner.work.get("phi_pot", (g_new.shape[0], pot_cols.stop - pot_cols.start))
-        phi = runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts,
-                                         out=runner.work.get("phi", g_new.shape, g_new.dtype),
-                                         pot_out=pot)
+        cols = runner.pot_columns
+        pot = runner.potential_phi_rows(
+            u1, u2, kernel.pot_raw, kernel.pot_acts,
+            out=runner.work.get("phi_pot", (g_new.shape[0], cols.stop - cols.start)))
     if g_ready is not None:
         g_ready()
     if g_new is not None:
-        g_new += phi
-        g_new[:, pot_cols] += pot
-    return _checked_cloud(runner, xi_new, log_q_new, cloud_prev.t + 1, h_new, g_new, f_new)
+        g_sum = np.zeros(g_new.shape[1])
+        for c in row_chunks(g_new.shape[0], g_new.shape[1] * g_new.itemsize):
+            rows = g_new[c]
+            if idx is not None:
+                _gather_mean(cloud_prev.g_stat, idx[c], out=rows)
+            runner.kernel_phi_contract(u1[c], u2[c], pot[c], out=rows)
+            with np.errstate(over="ignore", invalid="ignore"):   # _check_finite reads them
+                g_sum += rows.sum(axis=0, dtype=np.float64)
+    return _checked_cloud(runner, xi_new, log_q_new, cloud_prev.t + 1, h_new, g_new, f_new,
+                          g_sum)
 
 
 def _categorical_rows(w: np.ndarray, m_draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -782,7 +834,9 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray,
     ``config.method`` is "accept_reject", else from the categorical rows
     of the weights.  The bracket of ``pair_terms``' rows, the moments, the
     carried g and the theta rows are averaged over each row's draws; the
-    g-bracket is centered by the new h.
+    g-bracket is centered by the new h.  The theta rows and their means
+    go into the runner's work arrays; the carried g is gathered straight
+    into the new g, chunk by chunk, in the tail's pass (``_finish_update``).
     """
     m_draws = config.m_backward
     if config.method == "accept_reject":
@@ -795,32 +849,40 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray,
     bracket = np.einsum("nk,nmk->nm", left, right[idx])
     h_new = bracket.mean(axis=1)
     moments = g_new = theta_sums = None
+    n_new = xi_new.shape[0]
     if cloud_prev.g_stat is not None:
         moments = np.einsum("nm,nmk->nk", (bracket - h_new[:, None]) / m_draws,
                             stats_prev[idx])
         g_prev = cloud_prev.g_stat
-        g_new = _gather_mean(g_prev, idx,
-                             runner.work.get("phi", (xi_new.shape[0], g_prev.shape[1]),
-                                             g_prev.dtype))
+        g_new = np.empty((n_new, g_prev.shape[1]), dtype=g_prev.dtype)   # gathered in the tail
     if cloud_prev.f_stat is not None:
-        theta_sums = _gather_mean(
-            models.grad_theta_pair_rows(model, cloud_prev.xi, cloud_prev.f_stat), idx)
+        work = runner.work
+        theta_rows = models.grad_theta_pair_rows(
+            model, cloud_prev.xi, cloud_prev.f_stat,
+            out=work.get("theta_rows", (cloud_prev.n, models.pair_rows_dim(model))))
+        theta_sums = _gather_mean(theta_rows, idx,
+                                  out=work.get("theta_sums", (n_new, theta_rows.shape[1])))
     return _finish_update(cloud_prev, model, runner, y_t, xi_new, log_q_new, kernel, h_new,
-                          moments, g_new, theta_sums)
+                          moments, g_new, theta_sums, idx=idx)
 
 
-def _gather_mean(stat: np.ndarray, idx: np.ndarray,
-                 work: np.ndarray | None = None) -> np.ndarray:
-    """``stat[idx].mean(axis=1)``, one gathered draw at a time into one array.
+def _gather_mean(stat: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``stat[idx].mean(axis=1)`` into ``out``, ``CHUNK_BYTES`` of rows at a time.
 
-    Draws after the first are gathered into ``work`` if given.  The
-    indices are in range; ``mode="clip"`` only keeps ``take`` from
-    buffering ``work``.
+    A chunk's draws are added one gathered draw at a time, those after
+    the first through one chunk-sized buffer.  The indices are in range;
+    ``mode="clip"`` only keeps ``take`` from buffering its ``out``.
+    Returns ``out``.
     """
-    out = np.take(stat, idx[:, 0], axis=0)
-    for m in range(1, idx.shape[1]):
-        out += np.take(stat, idx[:, m], axis=0, out=work, mode="clip")
-    out *= 1.0 / idx.shape[1]
+    m_draws = idx.shape[1]
+    chunks = row_chunks(out.shape[0], out.shape[1] * out.itemsize)
+    buf = np.empty((chunks[0].stop, out.shape[1]), out.dtype) if m_draws > 1 else None
+    for c in chunks:
+        rows = out[c]
+        np.take(stat, idx[c, 0], axis=0, out=rows, mode="clip")
+        for m in range(1, m_draws):
+            rows += np.take(stat, idx[c, m], axis=0, out=buf[:c.stop - c.start], mode="clip")
+        rows *= 1.0 / m_draws
     return out
 
 
@@ -840,8 +902,9 @@ def estimate(cloud: ParticleCloud, use_control_variates: bool = True) -> Estimat
     score is T(xi_i) - E[T] pulled back through the one chain, so the
     coefficient-weighted mean of the scores is the pullback of one
     natural-parameter cotangent, and no (N, dim_phi) score rows are built.
-    The mean of g is taken with a float64 accumulator, so ``grad_phi`` is
-    float64 whatever the dtype of g.
+    The mean of g is the update's float64 column sums of g over N (for a
+    cloud without them, a mean with a float64 accumulator), so
+    ``grad_phi`` is float64 whatever the dtype of g.
     """
     elbo = float(np.mean(cloud.h_stat - cloud.log_q_marginal))
     grad_phi = None
@@ -854,7 +917,10 @@ def estimate(cloud: ParticleCloud, use_control_variates: bool = True) -> Estimat
         mean, second = gaussian.mean_params_batch(chain.eta1[None], chain.eta2[None])
         u1 = (c @ cloud.xi)[None] - mass * mean
         u2 = ((cloud.xi.T * c) @ cloud.xi)[None] - mass * second
-        grad_phi = cloud.g_stat.mean(axis=0, dtype=np.float64)
+        if cloud.g_sum is None:
+            grad_phi = cloud.g_stat.mean(axis=0, dtype=np.float64)
+        else:
+            grad_phi = cloud.g_sum / cloud.n
         gradients.marginal_cotangent_phi(chain, u1, u2, out=grad_phi[None])
     if cloud.f_stat is not None:
         grad_theta = cloud.f_stat.mean(axis=0)

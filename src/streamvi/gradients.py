@@ -110,24 +110,20 @@ def marginal_scores_phi(chain: MarginalChain, xs: np.ndarray) -> np.ndarray:
 
 
 def marginal_cotangent_phi(chain: MarginalChain, u1: np.ndarray, u2: np.ndarray,
-                           out: np.ndarray | None = None,
-                           work: np.ndarray | None = None) -> np.ndarray:
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Add per-row natural-parameter cotangents, pushed through the chain, to ``out``.
 
     u1 (n, d) and u2 (n, d, d) are gradients w.r.t. the chain's natural
     parameters; one product [u1, vec u2] @ nat_jac widens them to phi.
-    ``work``, if given, is an (n, dim_phi) array the product is written to
-    first.  The product runs in the dtype of ``out``, else of ``work``,
-    else float64, both small factors cast to it.  Returns ``out``, or
-    without it the product.
+    The product runs in the dtype of ``out``, else float64, both small
+    factors cast to it.  Returns ``out``, or without it the product.
     """
     if chain.nat_jac is None:
         raise ValueError("chain was built without a Jacobian")
     n = u1.shape[0]
-    dtype = (out if out is not None else work if work is not None
-             else chain.nat_jac).dtype
+    dtype = (out if out is not None else chain.nat_jac).dtype
     cot = np.concatenate([u1, u2.reshape(n, -1)], axis=1, dtype=dtype)
-    product = np.matmul(cot, chain.nat_jac.astype(dtype, copy=False), out=work)
+    product = np.matmul(cot, chain.nat_jac.astype(dtype, copy=False))
     if out is None:
         return product
     out += product

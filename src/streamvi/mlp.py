@@ -107,32 +107,38 @@ def vjp_params(params: MLPParams, x: np.ndarray, cot: np.ndarray,
 
 
 def vjp_params_batched(params: MLPParams, xs: np.ndarray | None, cots: np.ndarray,
-                       acts=None) -> np.ndarray:
+                       acts=None, out: np.ndarray | None = None) -> np.ndarray:
     """Per-sample parameter gradients; xs (n, in), cots (n, out) -> (n, n_params).
 
-    xs may be None when cached activations are supplied.
+    xs may be None when cached activations are supplied.  The rows are
+    written into ``out`` if given, else into a new array; returns it.
     """
-    return _vjp_params_batched(params, xs, cots, acts)
+    return _vjp_params_batched(params, xs, cots, acts, out)
 
 
-def _vjp_params_batched(params, xs, cots, acts):
+def _vjp_params_batched(params, xs, cots, acts, out=None):
     # the body of vjp_params_batched.  vjp_params_cross_rows calls it directly:
     # the engine builds those rows on its helper thread, where a wrapper put
     # around the public name (a profiler's, say) must not run
     if acts is None:
         _, acts = forward_cached(params, xs)
     n = cots.shape[0]
-    grads = [None] * len(params.layers)
+    if out is None:
+        out = np.empty((n, params.n_params))
     delta = np.asarray(cots, dtype=np.float64)
+    end = params.n_params
     for i in range(len(params.layers) - 1, -1, -1):
-        w, _ = params.layers[i]
-        a_in = acts[i]
-        gw = np.einsum("no,ni->noi", delta, a_in)
-        grads[i] = (gw.reshape(n, -1), delta)
+        w, b = params.layers[i]
+        # layer i's columns [vec W_i, b_i] end where layer i + 1's begin
+        start = end - w.size - b.size
+        np.einsum("no,ni->noi", delta, acts[i],
+                  out=out[:, start:start + w.size].reshape(n, *w.shape))
+        out[:, start + w.size:end] = delta
+        end = start
         if i > 0:
             # tanh' from the post-activation value
             delta = (delta @ w) * (1.0 - acts[i] * acts[i])
-    return np.concatenate([np.concatenate([gw, gb], axis=1) for gw, gb in grads], axis=1)
+    return out
 
 
 def vjp_params_cross_rows(params: MLPParams, xs: np.ndarray | None, b: np.ndarray,
@@ -140,17 +146,21 @@ def vjp_params_cross_rows(params: MLPParams, xs: np.ndarray | None, b: np.ndarra
     """Per-sample gradient rows [J_0, ..., J_{out-1}, V]; shape (m, (out+1) n_params).
 
     J_o holds the per-sample gradients under the unit cotangent e_o and V
-    those under the cotangents b (m, out).  A weighted sum ``coeff @`` these
-    rows is what ``vjp_params_cross_finish`` reads; xs may be None when
-    cached activations are supplied.
+    those under the cotangents b (m, out), each written into its columns
+    of the result.  A weighted sum ``coeff @`` these rows is what
+    ``vjp_params_cross_finish`` reads; xs may be None when cached
+    activations are supplied.
     """
     if acts is None:
         _, acts = forward_cached(params, xs)
     m, out = b.shape
-    per_sample = [_vjp_params_batched(params, None, np.broadcast_to(e, (m, out)), acts)
-                  for e in np.eye(out)]
-    per_sample.append(_vjp_params_batched(params, None, b, acts))
-    return np.concatenate(per_sample, axis=1)
+    p = params.n_params
+    rows = np.empty((m, (out + 1) * p))
+    for o, e in enumerate(np.eye(out)):
+        _vjp_params_batched(params, None, np.broadcast_to(e, (m, out)), acts,
+                            out=rows[:, o * p:(o + 1) * p])
+    _vjp_params_batched(params, None, b, acts, out=rows[:, out * p:])
+    return rows
 
 
 def vjp_params_cross_finish(a: np.ndarray, sums: np.ndarray) -> np.ndarray:

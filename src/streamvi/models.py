@@ -125,6 +125,10 @@ class LinearGaussianSSM:
     def replace_theta(self, views: dict):
         return replace(self, F=views["F"].copy(), G=views["G"].copy())
 
+    @property
+    def pair_feature_dim(self) -> int:
+        return self.d_x + self.d_x * self.d_x + 1
+
     def pair_features(self, xs_prev):
         return [gaussian.suff_stat_rows(xs_prev)]
 
@@ -221,6 +225,10 @@ class ChaoticRNNModel:
     def replace_theta(self, views: dict):
         return replace(self, rho=float(views["rho"]), gamma=float(views["gamma"]))
 
+    @property
+    def pair_feature_dim(self) -> int:
+        return 2 * self.d_x + 2
+
     def pair_features(self, xs_prev):
         mean, d_rho, d_gamma = self.mean_derivatives(xs_prev)
         return [d_rho, d_gamma, np.einsum("jd,jd->j", mean, d_rho)[:, None],
@@ -306,6 +314,10 @@ class ResidualNonlinearSSM:
         return replace(self, f_net=self.f_net.unpack(views["f_net"]),
                        g_net=self.g_net.unpack(views["g_net"]),
                        q_diag=np.exp(views["log_q_diag"]), r_diag=np.exp(views["log_r_diag"]))
+
+    @property
+    def pair_feature_dim(self) -> int:
+        return 2 * self.d_x + 1 + (self.d_x + 1) * self.f_net.n_params
 
     def pair_features(self, xs_prev):
         # [mean, mean^2, 1], then the network's per-sample gradient rows
@@ -518,7 +530,8 @@ def log_g_batch(model, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return model.log_g_rows(xs, y, valid)
 
 
-def grad_theta_pair_rows(model, xs_prev: np.ndarray, carried: np.ndarray) -> np.ndarray:
+def grad_theta_pair_rows(model, xs_prev: np.ndarray, carried: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Rows [carried_j, features_j] that the weights multiply; shape (n_prev, p).
 
     The features are what the model's transition gradient sums over j:
@@ -526,9 +539,15 @@ def grad_theta_pair_rows(model, xs_prev: np.ndarray, carried: np.ndarray) -> np.
     RNN and, for the residual model, [mean, mean^2, 1] followed by the
     network's per-sample gradient rows (``mlp.vjp_params_cross_rows``
     under the cotangents mean / q).  ``grad_theta_pair_finish`` turns
-    coeff @ rows into the contracted gradients.
+    coeff @ rows into the contracted gradients.  The rows are written
+    into ``out`` if given, of width ``pair_rows_dim(model)``.
     """
-    return np.concatenate([carried, *model.pair_features(xs_prev)], axis=1)
+    return np.concatenate([carried, *model.pair_features(xs_prev)], axis=1, out=out)
+
+
+def pair_rows_dim(model) -> int:
+    """Width p of ``grad_theta_pair_rows``: dim_theta plus the model's pair features."""
+    return theta_layout(model).total + model.pair_feature_dim
 
 
 def _add_blocks(lay: ParamLayout, out: np.ndarray, blocks: dict) -> np.ndarray:

@@ -11,6 +11,8 @@
   truncated amortizer chain (``grad_phi_log_marginal``,
   ``grad_phi_log_backward``) and their values, one log-density at a
   time: the reference that the engine's batched route is checked against.
+- ``kernel_phi_rows``, the kernel scores' phi rows of a step as one new
+  float64 array, for the direct forms of the statistic updates.
 - ``fd_check``, the independent central-difference verifier.
 """
 
@@ -357,6 +359,17 @@ class FDReport:
     max_rel_err: float
     worst_index: int
     fd: np.ndarray
+
+
+def kernel_phi_rows(runner, u1: np.ndarray, u2: np.ndarray, pot_raw: np.ndarray,
+                    pot_acts) -> np.ndarray:
+    """The phi rows that ``runner.kernel_phi_contract`` adds to g for the
+    kernel cotangents (u1, u2), in a new float64 array of shape (n, dim_phi)."""
+    n = u1.shape[0]
+    cols = runner.pot_columns
+    pot = runner.potential_phi_rows(u1, u2, pot_raw, pot_acts,
+                                    out=np.empty((n, cols.stop - cols.start)))
+    return runner.kernel_phi_contract(u1, u2, pot, out=np.zeros((n, runner.dim_phi)))
 
 
 def fd_check(f, x0: np.ndarray, analytic: np.ndarray, h: float = 1e-6,

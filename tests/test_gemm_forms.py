@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from streamvi import engine, gaussian, mlp, models, variational as var
 from streamvi.gaussian import LOG_2PI
 
@@ -113,8 +114,8 @@ def ref_update_statistics(cloud_prev, xi_new, model, runner, y, kernel, clip=Non
     u1 = cw @ cloud_prev.xi - cw.sum(axis=1)[:, None] * mean
     u2 = (np.einsum("ij,jd,je->ide", cw, cloud_prev.xi, cloud_prev.xi)
           - cw.sum(axis=1)[:, None, None] * second)
-    g_new = w @ cloud_prev.g_stat + runner.kernel_phi_contract(
-        u1, u2, kernel.pot_raw, kernel.pot_acts)
+    g_new = w @ cloud_prev.g_stat + reference.kernel_phi_rows(
+        runner, u1, u2, kernel.pot_raw, kernel.pot_acts)
     f_new = w @ cloud_prev.f_stat + ref_pair_contract(model, cloud_prev.xi, xi_new, y, w)
     return h_new, g_new, f_new
 

@@ -78,8 +78,9 @@ def expanded_kernel_contract(runner, u1, u2, pot_raw, pot_acts):
 
 
 def kernel_contract_case(n, g_dtype):
-    """The arguments of ``kernel_phi_contract``, its expanded form and a
-    float64 array of noise for it to overwrite."""
+    """The kernel cotangents and potential-head inputs of a step (the
+    arguments of ``potential_phi_rows``), their expanded phi rows and a
+    float64 array of noise for ``kernel_phi_contract`` to add them to."""
     state, _, config, rng, y = make_run(n, seed=20 + n, g_dtype=g_dtype)
     runner = state.runner
     runner.begin_step(y)
@@ -92,45 +93,42 @@ def kernel_contract_case(n, g_dtype):
     return runner, (u1, u2, kernel.pot_raw, kernel.pot_acts), want, g
 
 
+def head_rows(runner, u1, u2, pot_raw, pot_acts):
+    """``potential_phi_rows`` written over NaNs."""
+    cols = runner.pot_columns
+    out = np.full((u1.shape[0], cols.stop - cols.start), np.nan)
+    assert runner.potential_phi_rows(u1, u2, pot_raw, pot_acts, out=out) is out
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 6])
-def test_kernel_phi_contract_writes_the_expanded_form(n):
+def test_potential_phi_rows_are_the_head_columns(n):
+    runner, args, want, _ = kernel_contract_case(n, "float64")
+    assert_close(head_rows(runner, *args), want[:, runner.pot_columns])
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_kernel_phi_contract_adds_the_expanded_form(n):
     runner, args, want, g = kernel_contract_case(n, "float64")
     got = g.copy()
-    assert runner.kernel_phi_contract(*args, out=got) is got
-    assert_close(got, want)
-    assert_close(runner.kernel_phi_contract(*args), want)
-
-
-@pytest.mark.parametrize("n", [1, 6])
-def test_kernel_phi_contract_writes_the_potential_head_apart(n):
-    # with ``pot_out`` the head's columns of ``out`` hold the chain's product,
-    # zero, and ``pot_out`` the float64 vjp that the caller adds after it
-    runner, args, want, g = kernel_contract_case(n, "float32")
-    cols = runner.pot_columns
-    got, pot = g.astype(np.float32), np.full((n, cols.stop - cols.start), np.nan)
-    assert runner.kernel_phi_contract(*args, out=got, pot_out=pot) is got
-    assert not got[:, cols].any()
-    assert_close(pot, want[:, cols])
-    # without it the same product, and the vjp added into the head's columns
-    whole = runner.kernel_phi_contract(*args, out=np.empty((n, runner.dim_phi), np.float32))
-    others = np.ones(runner.dim_phi, dtype=bool)
-    others[cols] = False
-    np.testing.assert_array_equal(got[:, others], whole[:, others])
-    np.testing.assert_array_equal(whole[:, cols], pot.astype(np.float32))
+    assert runner.kernel_phi_contract(*args[:2], head_rows(runner, *args), out=got) is got
+    assert_close(got, g + want)
 
 
 @pytest.mark.parametrize("n", [1, 6])
 def test_kernel_phi_contract_runs_in_the_dtype_of_out(n):
     runner, args, want, g = kernel_contract_case(n, "float32")
-    got = g.astype(np.float32)
-    assert runner.kernel_phi_contract(*args, out=got) is got
+    pot = head_rows(runner, *args)
+    g32 = g.astype(np.float32)
+    got = g32.copy()
+    assert runner.kernel_phi_contract(*args[:2], pot, out=got) is got
     assert got.dtype == np.float32
     # float32 rounding: rtol 1e-5, with an absolute floor at 1e-5 of the largest entry
-    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
-    # without ``out`` the result is float64
-    fresh = runner.kernel_phi_contract(*args)
-    assert fresh.dtype == np.float64
-    assert_close(fresh, want)
+    np.testing.assert_allclose(got, g + want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+    # the chain's product leaves the head's columns unchanged, and the float64
+    # head rows are added to them unrounded
+    cols = runner.pot_columns
+    np.testing.assert_array_equal(got[:, cols], (g32[:, cols] + pot).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +137,15 @@ def test_kernel_phi_contract_runs_in_the_dtype_of_out(n):
 
 
 @pytest.mark.parametrize("n,m", [(5, 1), (5, 2), (5, 3), (3, 7)])
-@pytest.mark.parametrize("with_work", [False, True], ids=["fresh", "work"])
-def test_gather_mean_matches_three_dim_gather(n, m, with_work):
+@pytest.mark.parametrize("chunk_rows", [1, 2, None], ids=["row", "two_rows", "whole"])
+def test_gather_mean_matches_three_dim_gather(n, m, chunk_rows, monkeypatch):
     rng = np.random.default_rng(30 + m)
     stat = rng.standard_normal((n, 11))
     idx = rng.integers(0, n, (n, m))
-    work = np.full((n, 11), np.nan) if with_work else None
-    got = engine._gather_mean(stat, idx, work)
-    np.testing.assert_allclose(got, stat[idx].mean(axis=1), rtol=1e-15, atol=0)
-    if with_work:
-        assert not np.shares_memory(got, work)
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 8 * 11 * (chunk_rows or n))
+    out = np.full((n, 11), np.nan)
+    assert engine._gather_mean(stat, idx, out) is out
+    np.testing.assert_allclose(out, stat[idx].mean(axis=1), rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +167,12 @@ def cloud_arrays(cloud):
 # g product runs on a helper thread that reads one block while the main
 # thread fills the next, so its left operand has two slots: "w_g0" and
 # "w_g1", the weights cast to float32, or for a float64 g a second cross
-# slot, "cross1".  "phi" and "phi_pot" hold the kernel scores' phi rows and
-# the potential head's part of them, which every route adds to the new g
-WORK_ARRAYS = {"full": {"phi", "phi_pot", "cross", "bracket", "moments", "theta_sums"},
-               "categorical": {"phi", "phi_pot"}, "accept_reject": {"phi", "phi_pot"}}
+# slot, "cross1".  "phi_pot" holds the potential head's part of the kernel
+# scores' phi rows, which every route adds to the new g; "theta_rows" and
+# "theta_sums" the theta pair rows and their weighted sums
+THETA = {"theta_rows", "theta_sums"}
+WORK_ARRAYS = {"full": {"phi_pot", "cross", "bracket", "moments"} | THETA,
+               "categorical": {"phi_pot"} | THETA, "accept_reject": {"phi_pot"} | THETA}
 
 
 def assert_no_work_array(runner, clouds, outs=()):
@@ -226,7 +225,7 @@ def test_conjugate_full_step_holds_no_work_array():
         state, out = engine.step(state, ys[t], model, config, rng)
         clouds.append(state.cloud)
         outs.append(out)
-    assert set(runner.work._arrays) == {"cross", "bracket", "moments", "theta_sums"}
+    assert set(runner.work._arrays) == {"cross", "bracket", "moments"} | THETA
     assert_no_work_array(runner, clouds, outs)
 
 
@@ -263,10 +262,11 @@ def check_estimate_and_sampled_step_allocate_few_phi_arrays(g_dtype):
     # an (N, dim_phi) array of g's dtype
     unit = n * state.runner.dim_phi * state.cloud.g_stat.itemsize
     # the expanded forms build (N, dim_phi) scores, products and sums
-    assert peak_units(lambda: engine.estimate(state.cloud), unit) <= 0.25
-    # the kept g array and small transients; the expanded forms add an
-    # (N, M, dim_phi) gather and a fresh (N, dim_phi) contraction
-    assert peak_units(lambda: engine.step(state, y, model, config, rng), unit) <= 2.5
+    assert peak_units(lambda: engine.estimate(state.cloud), unit) <= 0.1
+    # the kept g array and chunk-sized transients (1.25 and 1.51 units measured
+    # for float64 and float32 g); the expanded forms add an (N, M, dim_phi)
+    # gather and a fresh (N, dim_phi) contraction
+    assert peak_units(lambda: engine.step(state, y, model, config, rng), unit) <= 1.75
 
 
 @pytest.mark.parametrize("clip", [False, True], ids=["kernel_weights", "clamped_weights"])
@@ -276,10 +276,27 @@ def test_full_step_keeps_two_pair_arrays(clip):
     unit = n * n * 8
     kept = (state.cloud.g_stat.nbytes + state.cloud.f_stat.nbytes) / unit
     units = peak_units(lambda: engine.step(state, y, model, config, rng), unit)
-    # the weights and one of the kernel cross or the bracket, plus the new
-    # cloud's g and f; a third N x N array alive at once adds 1.0
-    assert units <= 2.5 + kept
-    assert units <= 5.0
+    # the weights, the kernel cross and the bracket chunk are work arrays of
+    # earlier steps, so the step adds the new cloud's g and f and transients
+    # of 0.36 units measured; one N x N array alive at once adds 1.0
+    assert units <= 0.75 + kept
+    assert units <= 2.5
+
+
+@pytest.mark.parametrize("method,bound", [("full", 5.0), ("accept_reject", 2.25)])
+def test_step_scratch_stays_within_budget(method, bound):
+    # the runner's work arrays plus the traced peak of one step, in units of
+    # the new g array: 4.60 (full) and 1.93 (accept-reject) measured, where a
+    # work array of g's shape for the kernel scores' phi rows made 7.52 and 3.71
+    n = 500
+    state, model, config, rng, y = make_run(n, method=method, seed=50, hidden=16, steps=3,
+                                            clip=method == "accept_reject", g_dtype="float32")
+    g_shape = state.cloud.g_stat.shape
+    unit = n * state.runner.dim_phi * state.cloud.g_stat.itemsize
+    peak = peak_units(lambda: engine.step(state, y, model, config, rng), unit)
+    work = state.runner.work._arrays
+    assert not [name for name, arr in work.items() if arr.shape == g_shape]
+    assert sum(arr.nbytes for arr in work.values()) / unit + peak <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
-"""The full route one block of new-particle rows at a time.
+"""The full route one block of new-particle rows at a time, and every
+route's passes one chunk of rows at a time.
 
 ``engine.ROW_BLOCK_BYTES`` sets how many rows a block holds; the tests
 force blocks of one row, of a size that does not divide N_new, and of the
 whole matrix.  Each row's weights and bracket depend on that row alone,
 so the blocked update equals the one-block update to BLAS rounding.
+``engine.CHUNK_BYTES`` sets the chunks of the bracket, of the tail's pass
+over the new g and of the sampled gathers, forced the same three ways.
 """
 
 import contextlib
+import copy
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -16,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamvi import engine, gaussian, mlp, models, variational as var
-from streamvi.errors import DegenerateRow
+from streamvi.errors import DegenerateRow, NonFiniteStatistic
 
 D = 2
 KINDS = ["lgssm", "chaotic", "residual"]
@@ -153,11 +158,8 @@ def test_overlapped_g_product_equals_serial_products(kind, clip, g_dtype):
     np.testing.assert_array_equal(new.g_stat, want)
 
 
-def no_kernel_scores(u1, u2, pot_raw, pot_acts, out, pot_out):
-    """``kernel_phi_contract`` with all kernel scores zero: it writes zeros,
-    which the update then adds to g."""
-    out[...] = 0.0
-    pot_out[...] = 0.0
+def no_kernel_scores(u1, u2, pot, out):
+    """``kernel_phi_contract`` with all kernel scores zero: it adds nothing to g."""
     return out
 
 
@@ -271,3 +273,70 @@ def check_blocked_full_step_holds_no_dense_array(g_dtype):
     # beyond the new g and f: two blocks of 75 rows (0.125 units of n^2 floats) and
     # the (n, k) rows of both sides, with k small; a dense (n, n) array is a unit
     assert peak <= new.cloud.g_stat.nbytes + new.cloud.f_stat.nbytes + 0.25 * n * n * 8
+
+
+# ---------------------------------------------------------------------------
+# chunks
+# ---------------------------------------------------------------------------
+
+
+def chunk_run(kind, method, g_dtype, n=7, seed=8):
+    """An engine state after two steps, so g and f are non-zero, and the next
+    observation."""
+    rng = np.random.default_rng(seed)
+    model = make_model(kind, rng)
+    runner = make_runner(rng)
+    config = engine.EngineConfig(n_particles=n, method=method, g_dtype=g_dtype,
+                                 clip_enabled=method == "accept_reject")
+    ys = rng.standard_normal((4, D))
+    state = engine.init_state(model, runner, ys[0], config, rng)
+    for y in ys[1:3]:
+        state, _ = engine.step(state, y, model, config, rng)
+    return state, model, config, rng, ys[3]
+
+
+def plant_nan(runner, particle):
+    """Make ``kernel_phi_contract`` leave a NaN in ``particle``'s g row, in
+    whichever chunk holds it."""
+    contract = runner.kernel_phi_contract
+    done = [0]   # rows of the chunks contracted so far
+
+    def planted(u1, u2, pot, out):
+        contract(u1, u2, pot, out=out)
+        if done[0] <= particle < done[0] + len(out):
+            out[particle - done[0], 0] = np.nan
+        done[0] += len(out)
+        return out
+
+    runner.kernel_phi_contract = planted
+
+
+def chunked_step(pieces, n_bytes, monkeypatch, nan_at=None):
+    """One step of a copy of ``pieces`` with ``engine.CHUNK_BYTES = n_bytes``."""
+    state, model, config, rng, y = copy.deepcopy(pieces)
+    monkeypatch.setattr(engine, "CHUNK_BYTES", n_bytes)
+    if nan_at is not None:
+        plant_nan(state.runner, nan_at)
+    return engine.step(state, y, model, config, rng)
+
+
+@pytest.mark.parametrize("g_dtype", ["float64", "float32"])
+@pytest.mark.parametrize("method", ["full", "categorical", "accept_reject"])
+@pytest.mark.parametrize("kind", ["lgssm", "residual"])
+def test_chunked_step_equals_one_chunk(kind, method, g_dtype, monkeypatch):
+    # chunks of one row of every array, of 3 of 7 g rows, and of all rows
+    pieces = chunk_run(kind, method, g_dtype)
+    g_row = pieces[0].cloud.g_stat[0].nbytes
+    whole, _ = chunked_step(pieces, 1 << 40, monkeypatch)
+    assert_g = assert_same if g_dtype == "float64" else assert_same_f32
+    for n_bytes in (1, 3 * g_row, 1 << 40):
+        got, out = chunked_step(pieces, n_bytes, monkeypatch)
+        for name in ("h_stat", "f_stat"):
+            assert_same(getattr(got.cloud, name), getattr(whole.cloud, name))
+        assert_g(got.cloud.g_stat, whole.cloud.g_stat)
+        # grad_phi from the chunks' column sums against a float64 mean of g
+        want = engine.estimate(dataclasses.replace(got.cloud, g_sum=None)).grad_phi
+        np.testing.assert_allclose(out.grad_phi, want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+        with pytest.raises(NonFiniteStatistic, match="g statistic non-finite at particle 5,"):
+            chunked_step(pieces, n_bytes, monkeypatch, nan_at=5)

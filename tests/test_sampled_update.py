@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from streamvi import engine, gaussian, mlp, models, variational as var
 from streamvi.gaussian import GaussianNatural
 
@@ -76,7 +77,7 @@ def gathered_reference(cloud, xi_new, model, runner, y, kernel, idx):
     h = bracket.mean(axis=1)
     u1, u2 = kernel_cotangents(kernel, (bracket - h[:, None]) / m_draws, xs_j)
     g = (cloud.g_stat.astype(np.float64)[idx].mean(axis=1)
-         + runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts))
+         + reference.kernel_phi_rows(runner, u1, u2, kernel.pot_raw, kernel.pot_acts))
     trans = models.grad_theta_transition_pairs(model, xs_j.reshape(n_new * m_draws, D),
                                                np.repeat(xi_new, m_draws, axis=0))
     f = (cloud.f_stat[idx].mean(axis=1) + trans.reshape(n_new, m_draws, -1).mean(axis=1)
@@ -98,7 +99,7 @@ def dense_reference(cloud, xi_new, model, runner, y, kernel, idx):
     xs = np.broadcast_to(cloud.xi, (n_new, *cloud.xi.shape))
     u1, u2 = kernel_cotangents(kernel, w * (bracket - h[:, None]), xs)
     g = (w @ cloud.g_stat.astype(np.float64)
-         + runner.kernel_phi_contract(u1, u2, kernel.pot_raw, kernel.pot_acts))
+         + reference.kernel_phi_rows(runner, u1, u2, kernel.pot_raw, kernel.pot_acts))
     pair_grads = np.array([[models.grad_theta_log_joint_pair(model, xp, x, y, 1)
                             for xp in cloud.xi] for x in xi_new])
     f = w @ cloud.f_stat + np.einsum("ij,ijp->ip", w, pair_grads)
