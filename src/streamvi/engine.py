@@ -1,109 +1,37 @@
 """Particle recursion engine.
 
-Carries, per time step, N i.i.d. draws from the current variational
-marginal together with three per-particle statistics: the cumulative
-pair-term (h), its phi-gradient (g), and its theta-gradient (f).  New
-statistics are self-normalized importance-sampling updates over the
-previous particles, with weights proportional (within each row) to the
-backward-kernel density over the previous proposal density, or, with
-clipping on, to the clamped potential.
+Carries N i.i.d. draws from the current variational marginal with three
+per-particle statistics: the cumulative pair-term (h), its phi-gradient
+(g) and its theta-gradient (f).  New statistics are self-normalized
+importance-sampling updates over the previous particles, weighted per
+row, in log space, by the backward-kernel density over the previous
+proposal density or, with clipping on, by the clamped potential.  A row
+without finite mass raises ``DegenerateRow``.
 
-One statistic update serves both routes; they differ only in the
-weights W_ij of new particle i over the previous particles j:
+The two routes share the statistic update's tail, ``_finish_update``:
 
-- full weights: W dense, the exact N x N weights, O(N^2) per step, with
-  the plain g-bracket;
-- backward sampling: W sparse, 1/M at (i, idx_im) for M index draws per
-  row shared by the three statistics, with the g-bracket centered by the
-  freshly computed h statistic.  Indices come either from the
-  explicit categorical rows, which needs the N x N weights, or by
-  accept-reject: uniform proposals accepted against a per-row upper
-  bound on the clamped potential, with a draw still pending after N
-  proposals drawn exactly from its row.  Accept-reject costs O(N M)
-  proposals per step when the bound is tight, and at worst N proposals
-  plus one exact row per draw.  Its proposals come in rounds, one block
-  per pending draw, of 1, 2, 4, ... proposals, so a step takes about
-  ceil(log2(N + 1)) rounds rather than up to N.  Each draw takes the
-  first acceptance in its sequence of proposals, as with one proposal
-  per round, so the sampler stays exact.  The proposals after a block's
-  first acceptance are wasted: a draw draws fewer than twice the
-  proposals it needs, and never more than N.  A round's gather of
-  proposal features stays within ``ROW_BLOCK_BYTES``.
+- full weights (``update_statistics``): O(N^2), the plain g-bracket;
+- backward sampling (``backward_sample_update``): M index draws per new
+  particle, weight 1/M each, with the g-bracket centered by the new h.
+  The draws come from the categorical rows (``_categorical_rows``) or by
+  accept-reject against a per-row bound, in doubling rounds of proposals
+  with an exact fallback row (``_accept_reject_rows``).
 
-Both read the bracket, the moments and the theta side from the same
-per-particle rows and end in one tail, ``_finish_update``.
+The full route runs over blocks of new-particle rows (``row_blocks``),
+each pairwise quantity one BLAS product of per-particle feature rows; the
+bracket, the tail's one pass over g and the sampled route's gathers run
+over chunks of rows (``row_chunks``).  Only the categorical draws build
+all N x N weights (``weight_matrix``), and no route a second array of
+g's shape.  g is stored and multiplied in ``EngineConfig.g_dtype``,
+float32 by default; h, f, the weights, the bracket, the ELBO, both
+gradients and g's column sums are float64.
 
-All weight arithmetic is in log space with per-row log-sum-exp
-normalization.  Rows with zero total mass raise instead of silently
-falling back to uniform.
-
-On the full route every row of the N x N update belongs to one new
-particle: its weights are normalised, and its bracket contracted,
-independently of the other rows.  So the update runs over blocks of
-new-particle rows, each block's arrays at most ``ROW_BLOCK_BYTES``, and
-every pairwise quantity of a block is one BLAS product of per-particle
-feature rows.  Per block, the kernel cross (the kernel log-densities, or
-with clipping the clamped potentials) is normalised in place into the
-block's weights; the pair bracket h_prev_j + log m(x_j -> x_i) + log g(x_i)
-- log k_i(x_j) of those rows is one more product; and the weights'
-products with the carried g, the sufficient statistics and the model's
-theta rows fill the block's rows of the new statistics.  The bracket and
-its product with the sufficient statistics run over chunks of the
-block's rows, ``CHUNK_BYTES`` each.  Everything on the previous-particle
-side is built once per step.  So a step holds the weights, one chunk of
-the bracket and the two slots of the g product (below): arrays that the
-runner keeps across steps, and no N x N array; only the categorical
-draws assemble the whole weight matrix, block by block
-(``weight_matrix``).  Nor does any route keep a second array of g's
-shape: the tail adds the kernel scores' phi rows to the new g, and the
-sampled route gathers the carried g into it, one chunk of rows at a
-time.
-
-Precision: the carried phi statistic g is stored, gathered and
-multiplied in ``EngineConfig.g_dtype``, float32 by default.  Everything
-else is float64: h, f, the weights, the pair bracket, the moments, the
-kernel cotangents, the ELBO and both gradient outputs.  The reductions
-that set the estimate's accuracy, the log-sum-exp weights and the final
-mean over particles, stay in float64: the tail sums g's columns with a
-float64 accumulator, chunk by chunk, and ``estimate`` divides those sums
-by N.  Summed by chunks rather than in one pass, they differ from
-``g.mean(axis=0, dtype=float64)`` by rounding only, about 1e-14
-relative.  Each step a g row is a weighted mean of the
-previous rows plus one increment, both rounded to float32, so
-``grad_phi`` moves by about 1e-7 relative to the float64 path, far below
-its Monte Carlo spread.  In exchange the full route's w @ g_prev, the
-step's largest product, and every g gather move half the bytes; the
-weights are cast to float32 one block at a time for that product.  h
-and f never read g, so the ELBO and ``grad_theta`` do not depend on the
-setting.
-
-Overlap: on the full route one helper thread works beside the main
-thread, and NumPy releases the GIL inside its loops and BLAS.  The helper
-takes its tasks in this order: first the theta pair rows
-(``models.grad_theta_pair_rows``), which read only the previous cloud;
-then each block's w @ g_prev, which reads only the block's weights and
-the carried g, block 0's submitted before ``pair_terms`` is built.
-Meanwhile the main thread does the float64 work: the weights, the pair
-rows, the bracket, the moments and the theta sums, and at the end the
-tail's work that reads no g (the theta finish, the kernel cotangents
-and the potential head's vjp rows, into a work array).  Once the last
-products have finished, one pass over the new g adds the kernel scores'
-phi rows and sums g's columns.  The theta rows go into a work array that
-the main thread made.  The helper's left operand alternates
-between two work arrays by block, the two float32 casts or, for a
-float64 g, two cross slots; a block waits for the product two blocks
-back before it writes its slot, so at most two products are in flight
-and none reads a buffer that is being written.  Every task has
-finished before ``update_statistics`` returns or raises.  The helper
-runs only plain NumPy code, never a function that a profiler may wrap
-from outside (every public function the tracer of ``perfbench`` wraps
-runs on the main thread; ``mlp.vjp_params_cross_rows`` calls the
-untraced core of ``mlp.vjp_params_batched`` for that reason).  Each
-task is the same computation on the same operands as when run in line,
-so outputs are bit-identical.  There is one helper per process, shared
-by every engine in it, made on the first full-route update that carries
-g or f, not at import; a forked child forgets its parent's helper (an
-``os.register_at_fork`` hook) and makes its own.
+On the full route one helper thread per process (``_helper_thread``)
+runs the theta pair rows and each block's w @ g_prev beside the main
+thread's float64 work, on the same operands as in line, so outputs are
+bit-identical.  It calls nothing the benchmark's tracer wraps, every
+task has finished when ``update_statistics`` returns or raises, and a
+forked child forgets its parent's helper (``os.register_at_fork``).
 """
 
 from __future__ import annotations
@@ -168,6 +96,11 @@ def _forget_helper() -> None:
 os.register_at_fork(after_in_child=_forget_helper)
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class EngineConfig:
     n_particles: int = 100
@@ -182,10 +115,8 @@ class EngineConfig:
     g_dtype: str = "float32"        # storage of the carried phi statistic: float32 | float64
 
     def __post_init__(self):
-        for name in ("n_particles", "m_backward"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name, low in (("n_particles", 1), ("m_backward", 1), ("truncation_window", 0)):
+            _check_integer(name, getattr(self, name), low)
         if self.method not in ("full", "categorical", "accept_reject"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.g_dtype not in ("float32", "float64"):
@@ -208,7 +139,6 @@ class ParticleCloud:
     g_stat: np.ndarray | None          # (N, dim_phi), EngineConfig.g_dtype
     f_stat: np.ndarray | None          # (N, dim_theta)
     log_q_marginal: np.ndarray         # (N,) log q_t(xi_i) under the sampler
-    eta: GaussianNatural               # marginal the particles were drawn from
     t: int
     chain: gradients.MarginalChain | None = None  # context for phi-scores
     g_sum: np.ndarray | None = None    # (dim_phi,) float64 column sums of g_stat, if taken
@@ -216,12 +146,6 @@ class ParticleCloud:
     @property
     def n(self) -> int:
         return self.xi.shape[0]
-
-    def validate(self, tol: float = 1e-12) -> None:
-        ref = gaussian.log_density_cross(self.eta.eta1[None], self.eta.eta2[None],
-                                         self.xi)[0]
-        if not np.allclose(ref, self.log_q_marginal, atol=tol, rtol=0):
-            raise NonFiniteStatistic("cached marginal log-densities are stale")
 
 
 @dataclass
@@ -271,8 +195,7 @@ class AmortizedRunner:
 
     def __init__(self, params: var.AmortizerParams, window: int = 2,
                  compute_grads: bool = True):
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
+        _check_integer("window", window, 0)
         self.params = params
         self.window = window
         self.compute_grads = compute_grads
@@ -410,7 +333,7 @@ def init_cloud(model, runner, y0: np.ndarray, config: EngineConfig,
     if runner.compute_grads:
         g_stat = np.zeros((n, runner.dim_phi), dtype=config.g_dtype)
     if config.compute_grads:
-        f_stat = models.grad_theta_init_batch(model, xi, y0)
+        f_stat = models.grad_theta_emission_batch(model, xi, y0)   # log chi has no theta
     return _checked_cloud(runner, xi, log_q, 0, h, g_stat, f_stat)
 
 
@@ -562,9 +485,9 @@ def _check_finite(cloud: ParticleCloud) -> None:
 def _checked_cloud(runner, xi: np.ndarray, log_q: np.ndarray, t: int, h: np.ndarray,
                    g: np.ndarray | None, f: np.ndarray | None,
                    g_sum: np.ndarray | None = None) -> ParticleCloud:
-    """The cloud of time ``t`` under the runner's current marginal, checked finite."""
-    cloud = ParticleCloud(xi=xi, h_stat=h, g_stat=g, f_stat=f, log_q_marginal=log_q,
-                          eta=runner.current_eta(), t=t, chain=runner.chain_cur, g_sum=g_sum)
+    """The cloud of time ``t`` under the runner's current chain, checked finite."""
+    cloud = ParticleCloud(xi=xi, h_stat=h, g_stat=g, f_stat=f, log_q_marginal=log_q, t=t,
+                          chain=runner.chain_cur, g_sum=g_sum)
     _check_finite(cloud)
     return cloud
 

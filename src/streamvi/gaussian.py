@@ -5,13 +5,19 @@ A Gaussian N(mean, cov) is carried in natural coordinates
 
     log p(x) = <eta1, x> + x' eta2 x - A(eta1, eta2),
 
-with A the log-partition function.  Addition of natural parameters
-multiplies unnormalized densities, which is what makes backward kernels
-of the variational family closed under the Gaussian family.
+with A the log-partition function.  Adding natural parameters multiplies
+unnormalized densities, which is what makes backward kernels of the
+variational family closed under the Gaussian family.
 
-All arrays are float64; eta2 is stored dense and re-symmetrized after
-every arithmetic op.  The Cholesky factor of the precision ``-2 eta2``
-is cached lazily; values are treated as immutable after construction.
+The module holds one Gaussian, ``GaussianNatural``, with its moment
+form and sampler, and the batched forms the particle engine reads.  The
+one-point forms that tests check these against (``log_density``,
+``log_partition``, ``mean_params``, ``inner`` and the like) are in
+``tests/reference.py``.
+
+All arrays are float64; eta2 is stored dense and symmetrized on
+construction.  The Cholesky factor of the precision ``-2 eta2`` is
+cached lazily; values are treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ import numpy as np
 from .errors import DimensionMismatch, NotNegativeDefinite
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-_SYM_TOL = 1e-12
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -86,32 +90,6 @@ class GaussianMoments:
         self.cov = _symmetrize(np.asarray(self.cov, dtype=np.float64))
 
 
-@dataclass
-class SufficientStat:
-    """Sufficient statistic T(x) = (x, x x') of the Gaussian family."""
-
-    t1: np.ndarray
-    t2: np.ndarray
-
-
-def suff_stat(x) -> SufficientStat:
-    """T(x) with t2 = outer(x, x) exactly."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return SufficientStat(t1=x, t2=np.outer(x, x))
-
-
-def from_moments(m: GaussianMoments) -> GaussianNatural:
-    """Convert moment form to natural form (inverts cov via Cholesky)."""
-    try:
-        low = np.linalg.cholesky(m.cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotNegativeDefinite("covariance is not positive definite") from exc
-    eye = np.eye(m.cov.shape[0])
-    low_inv = np.linalg.solve(low, eye)
-    prec = low_inv.T @ low_inv
-    return GaussianNatural(eta1=prec @ m.mean, eta2=-0.5 * _symmetrize(prec))
-
-
 def to_moments(eta: GaussianNatural) -> GaussianMoments:
     """Recover (mean, cov) from natural parameters."""
     low = eta.chol_precision()
@@ -119,46 +97,6 @@ def to_moments(eta: GaussianNatural) -> GaussianMoments:
     low_inv = np.linalg.solve(low, eye)
     cov = low_inv.T @ low_inv
     return GaussianMoments(mean=cov @ eta.eta1, cov=cov)
-
-
-def add(a: GaussianNatural, b: GaussianNatural) -> GaussianNatural:
-    """Componentwise sum of natural parameters.
-
-    The result may be indefinite; validity is only checked when the sum
-    is used as a density (lazy Cholesky).
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    return GaussianNatural(eta1=a.eta1 + b.eta1, eta2=_symmetrize(a.eta2 + b.eta2))
-
-
-def log_partition(eta: GaussianNatural) -> float:
-    """Log-partition A(eta) so that exp(<eta,T(x)> - A) integrates to 1."""
-    low = eta.chol_precision()
-    half_solve = np.linalg.solve(low, eta.eta1)
-    # A = 1/2 mu' P mu + 1/2 log det(2 pi P^-1) with P = -2 eta2
-    logdet_prec = 2.0 * np.sum(np.log(np.diag(low)))
-    return float(
-        0.5 * (half_solve @ half_solve) + 0.5 * (eta.dim * LOG_2PI - logdet_prec)
-    )
-
-
-def log_density(eta: GaussianNatural, x) -> float:
-    """Normalized Gaussian log-density at x."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != eta.dim:
-        raise DimensionMismatch(f"x has length {x.shape[0]}, expected {eta.dim}")
-    return float(x @ eta.eta1 + x @ eta.eta2 @ x - log_partition(eta))
-
-
-def mean_params(eta: GaussianNatural) -> tuple[np.ndarray, np.ndarray]:
-    """Expected sufficient statistics (E[X], E[XX']) under eta.
-
-    These are the gradients of the log-partition, hence also the
-    centering terms of the score d/d_eta log p(x) = T(x) - E[T(X)].
-    """
-    m = to_moments(eta)
-    return m.mean, m.cov + np.outer(m.mean, m.mean)
 
 
 def sample(eta: GaussianNatural, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -169,12 +107,6 @@ def sample(eta: GaussianNatural, rng: np.random.Generator, n: int) -> np.ndarray
     low = np.linalg.cholesky(m.cov)
     z = rng.standard_normal((n, eta.dim))
     return m.mean[None, :] + z @ low.T
-
-def inner(eta: GaussianNatural, t: SufficientStat) -> float:
-    """<eta, T(x)> = eta1.t1 + sum(eta2 * t2)."""
-    if eta.dim != t.t1.shape[0]:
-        raise DimensionMismatch(f"dimensions differ: {eta.dim} vs {t.t1.shape[0]}")
-    return float(eta.eta1 @ t.t1 + np.sum(eta.eta2 * t.t2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,19 @@
 """Small dense networks with hand-rolled backward passes.
 
 Hidden layers use tanh; the last layer is linear.  Besides the
-plain forward pass, the module provides the three backward variants the
+plain forward pass, the module provides the backward variants the
 estimators need:
 
-- ``vjp_params``: gradient of <cot, f(x)> in the parameters, one input;
 - ``vjp_params_batched``: per-sample parameter gradients for a batch of
   inputs with per-sample output cotangents (each row is an independent
   gradient, nothing is summed over the batch);
-- ``vjp_params_cross``: weighted sums of per-sample gradients under
-  pairwise cotangents coeff[k, j] * (a[k] - b[j]); the vjp is linear in
-  the cotangent, so this takes out+1 per-sample passes and one matrix
-  product, with no (k, m, ...) tensor.  Its two halves, the per-sample
-  rows and the finish after the product, are public, so a caller can
-  fold the rows into a product of its own;
+- ``vjp_params_cross_rows`` and ``vjp_params_cross_finish``: weighted
+  sums of per-sample gradients under pairwise cotangents
+  coeff[k, j] * (a[k] - b[j]), split around the caller's product with
+  coeff.  The vjp is linear in the cotangent, so this takes out+1
+  per-sample passes and one matrix product, with no (k, m, ...) tensor.
+  ``vjp_params_cross`` is the two around one product; no step calls it,
+  and it stays as a reference for the tests and the benchmark's tracer;
 - ``rows_backward``: full Jacobian rows of the output w.r.t. parameters
   and input, for chaining into recurrent backpropagation.
 
@@ -96,14 +96,6 @@ def forward_cached(params: MLPParams, x: np.ndarray):
         h = z if i == last else np.tanh(z)
         acts.append(h)
     return h, acts
-
-
-def vjp_params(params: MLPParams, x: np.ndarray, cot: np.ndarray,
-               acts=None) -> np.ndarray:
-    """Flat gradient of <cot, f(x)> w.r.t. the parameters (single input)."""
-    g = vjp_params_batched(params, np.asarray(x)[None, :], np.asarray(cot)[None, :],
-                           acts=None if acts is None else acts)
-    return g[0]
 
 
 def vjp_params_batched(params: MLPParams, xs: np.ndarray | None, cots: np.ndarray,

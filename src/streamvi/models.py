@@ -1,10 +1,11 @@
 """Generative state-space models used as testbeds.
 
-Three model classes share one protocol: trajectory simulation, the
-transition log-density ``log_m`` (which at t=0 is the log initial
-density), the emission log-density ``log_g`` (NaN observation entries
-are treated as missing and contribute zero), and the gradient of
-``log_m + log_g`` in the learnable model parameters:
+Three model classes share one protocol: the transition mean
+``transition_mean`` with its noise variance ``q`` (a scalar or one entry
+per coordinate), the initial mean and variance, the emission
+log-density over the observed coordinates (NaN entries of y are missing
+and contribute zero) and its sampler, and the gradient of the
+log-densities in the learnable model parameters theta:
 
 - linear Gaussian: the transition and emission matrices (F, G), noise
   variances fixed;
@@ -12,29 +13,28 @@ are treated as missing and contribute zero), and the gradient of
   fixed;
 - residual nonlinear: both networks plus log-diagonal noise variances.
 
-A class defines only what differs: the transition mean and its noise
-variance ``q`` (a scalar or one entry per coordinate), the initial mean
-and variance, the emission log-density over the observed coordinates
-(batched, plus a per-pair reference) and sampler, the theta layout with
-its pack and replace, and the theta-gradient pieces, as named blocks
-(``pair_features``, ``pair_finish``, ``emission_grad``,
-``transition_grad_pairs`` and the per-pair reference ``grad_pair``).
-Each module function below is written once over those methods, with the
-NaN masking, the Gaussian normalizers and the flat theta placement.
+A class defines only what differs, as named blocks: ``log_g_rows`` and
+``sample_emission``, the theta layout with its pack and replace, and the
+theta-gradient pieces ``pair_features``, ``pair_finish``,
+``emission_grad`` and ``transition_grad_pairs``.  Each module function
+below is written once over those blocks, with the NaN masking, the
+Gaussian normalizers and the flat theta placement.
 
 The engine calls ``log_init_batch``, ``log_g_batch``,
 ``transition_rows``, ``grad_theta_pair_rows`` with
-``grad_theta_pair_finish``, ``grad_theta_init_batch`` and
-``theta_layout``.  ``transition_rows`` gives feature rows whose inner
-products are the transition log-densities (|a|^2 - 2 a.b + |b|^2), so
-they agree with the scalar ops to rounding that grows with
-|x|^2 + |mean|^2 over the noise variance.  ``grad_theta_pair_rows``
-gives rows of the carried theta-statistic and every per-particle feature
-the transition gradient sums over; the engine weights them and
-``grad_theta_pair_finish`` completes the sums.  ``log_m_cross``,
-``log_m_gathered``, ``grad_theta_pair_contract``,
-``grad_theta_transition_pairs`` and ``grad_theta_emission_batch`` are
-off the step path, references for the tests and the benchmark's tracer.
+``grad_theta_pair_finish``, and at t=0 ``grad_theta_emission_batch``: the
+initial density carries no learnable parameters in any of the classes.
+``transition_rows`` gives feature rows whose inner products are the
+transition log-densities (|a|^2 - 2 a.b + |b|^2), so they agree with the
+scalar ops to rounding that grows with |x|^2 + |mean|^2 over the noise
+variance.  ``grad_theta_pair_rows`` gives rows of the carried
+theta-statistic and every per-particle feature the transition gradient
+sums over; the engine weights them and ``grad_theta_pair_finish``
+completes the sums.  ``log_m_cross``, ``log_m_gathered``,
+``grad_theta_pair_contract`` and ``grad_theta_transition_pairs`` are off
+the step path, references for the tests and the benchmark's tracer.  The
+one-pair references ``log_m``, ``log_g`` and
+``grad_theta_log_joint_pair`` are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -110,9 +110,6 @@ class LinearGaussianSSM:
     def log_g_rows(self, xs, y, valid):
         return _gauss_logpdf(y[valid][None, :] - (xs @ self.G.T)[:, valid], self.r_var)
 
-    def log_g_pair(self, x, y, valid):
-        return _gauss_logpdf((y - self.G @ x)[valid], self.r_var)
-
     def sample_emission(self, x, rng):
         return self.G @ x + math.sqrt(self.r_var) * rng.standard_normal(self.d_y)
 
@@ -150,12 +147,6 @@ class LinearGaussianSSM:
         resid = (xs_new - xs_prev @ self.F.T) / self.q_var
         return {"F": np.einsum("kd,ke->kde", resid, xs_prev).reshape(xs_prev.shape[0], -1)}
 
-    def grad_pair(self, x_prev, x, y, valid):
-        grads = {"G": np.where(valid[:, None], np.outer((y - self.G @ x) / self.r_var, x), 0.0)}
-        if x_prev is not None:
-            grads["F"] = np.outer((x - self.F @ x_prev) / self.q_var, x_prev)
-        return grads
-
 
 @dataclass(frozen=True)
 class ChaoticRNNModel:
@@ -192,12 +183,10 @@ class ChaoticRNNModel:
     q = property(lambda self: self.q_var)
     init_var = property(lambda self: self.q_var)
 
-    def drift(self, x_prev: np.ndarray) -> np.ndarray:
-        """Conditional mean of X_t given X_{t-1}; works on (d,) or (n, d)."""
+    def transition_mean(self, x_prev: np.ndarray) -> np.ndarray:
+        """The drift: the conditional mean of X_t given X_{t-1}; (d,) or (n, d)."""
         push = self.gamma * (np.tanh(x_prev) @ self.W.T)
         return x_prev + (self.delta / self.rho) * (push - x_prev)
-
-    transition_mean = drift
 
     def mean_derivatives(self, x_prev):
         """(mean, d mean / d rho, d mean / d gamma) at x_prev; (d,) or (n, d)."""
@@ -209,9 +198,6 @@ class ChaoticRNNModel:
     def log_g_rows(self, xs, y, valid):
         return np.sum(_student_t_logpdf(y[valid][None, :] - xs[:, valid], self.t_dof,
                                         self.t_scale), axis=-1)
-
-    def log_g_pair(self, x, y, valid):
-        return np.sum(_student_t_logpdf((y - x)[valid], self.t_dof, self.t_scale))
 
     def sample_emission(self, x, rng):
         return x + self.t_scale * _student_t(rng, self.t_dof, self.d_y)
@@ -252,13 +238,6 @@ class ChaoticRNNModel:
         return {"rho": np.sum(resid * d_rho, axis=-1)[:, None],
                 "gamma": np.sum(resid * d_gamma, axis=-1)[:, None]}
 
-    def grad_pair(self, x_prev, x, y, valid):
-        if x_prev is None:
-            return {}
-        mean, d_rho, d_gamma = self.mean_derivatives(x_prev)
-        resid = (x - mean) / self.q_var
-        return {"rho": resid @ d_rho, "gamma": resid @ d_gamma}
-
 
 @dataclass(frozen=True)
 class ResidualNonlinearSSM:
@@ -295,9 +274,6 @@ class ResidualNonlinearSSM:
     def log_g_rows(self, xs, y, valid):
         resid = y[valid][None, :] - mlp.forward(self.g_net, xs)[:, valid]
         return _gauss_logpdf(resid, self.r_diag[valid])
-
-    def log_g_pair(self, x, y, valid):
-        return _gauss_logpdf((y - mlp.forward(self.g_net, x))[valid], self.r_diag[valid])
 
     def sample_emission(self, x, rng):
         return mlp.forward(self.g_net, x) + np.sqrt(self.r_diag) * rng.standard_normal(self.d_y)
@@ -354,35 +330,20 @@ class ResidualNonlinearSSM:
                                                 acts=f_acts),
                 "log_q_diag": -0.5 + 0.5 * resid * resid / self.q_diag}
 
-    def grad_pair(self, x_prev, x, y, valid):
-        resid_y = y - mlp.forward(self.g_net, x)
-        cot = np.where(valid, resid_y / self.r_diag, 0.0)
-        grads = {"g_net": mlp.vjp_params(self.g_net, x, cot),
-                 "log_r_diag": np.where(valid, -0.5 + 0.5 * resid_y * resid_y / self.r_diag, 0.0)}
-        if x_prev is not None:
-            resid = x - x_prev - mlp.forward(self.f_net, x_prev)
-            grads["f_net"] = mlp.vjp_params(self.f_net, x_prev, resid / self.q_diag)
-            grads["log_q_diag"] = -0.5 + 0.5 * resid * resid / self.q_diag
-        return grads
-
 
 # ---------------------------------------------------------------------------
 # Learnable-parameter views
 # ---------------------------------------------------------------------------
 
 
-def theta_layout(model) -> ParamLayout:
-    return model.theta_layout()
-
-
 def get_theta(model) -> np.ndarray:
     """Flat vector of the learnable parameters."""
-    return theta_layout(model).pack(model.theta_arrays())
+    return model.theta_layout().pack(model.theta_arrays())
 
 
 def with_theta(model, flat: np.ndarray):
     """New model object with the learnable parameters replaced."""
-    return model.replace_theta(theta_layout(model).views(flat))
+    return model.replace_theta(model.theta_layout().views(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -407,57 +368,14 @@ def simulate(model, T: int, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# Log-densities
+# Batched log-densities and theta-gradients for the particle engine
 # ---------------------------------------------------------------------------
-
-
-def transition_mean(model, x_prev: np.ndarray) -> np.ndarray:
-    """Conditional mean of X_t given X_{t-1} = x_prev; batched over rows."""
-    return model.transition_mean(x_prev)
-
-
-def log_m(model, x_prev, x, t: int) -> float:
-    """Transition log-density; at t=0 the initial log-density of x."""
-    x = np.asarray(x, dtype=np.float64)
-    if t == 0:
-        return float(_gauss_logpdf(x - model.init_mean, model.init_var))
-    resid = x - transition_mean(model, np.asarray(x_prev, dtype=np.float64))
-    return float(_gauss_logpdf(resid, model.q))
 
 
 def _observed(y) -> tuple[np.ndarray, np.ndarray]:
     """y as float64 and the mask of its observed (non-NaN) entries."""
     y = np.asarray(y, dtype=np.float64)
     return y, ~np.isnan(y)
-
-
-def log_g(model, x, y, t: int = 0) -> float:
-    """Emission log-density; NaN entries of y are missing and contribute 0."""
-    y, valid = _observed(y)
-    if not np.any(valid):
-        return 0.0
-    return float(model.log_g_pair(np.asarray(x, dtype=np.float64), y, valid))
-
-
-# ---------------------------------------------------------------------------
-# Parameter gradients of log_m + log_g
-# ---------------------------------------------------------------------------
-
-
-def grad_theta_log_joint_pair(model, x_prev, x, y, t: int) -> np.ndarray:
-    """Gradient of log_m(x_prev, x, t) + log_g(x, y, t) in the flat theta."""
-    y, valid = _observed(y)
-    x_prev = np.asarray(x_prev, dtype=np.float64) if t > 0 else None
-    lay = theta_layout(model)
-    grad = np.zeros(lay.total)
-    for name, value in model.grad_pair(x_prev, np.asarray(x, dtype=np.float64), y, valid).items():
-        lay.view(grad, name)[...] = value
-    return grad
-
-
-# ---------------------------------------------------------------------------
-# Batched variants for the particle engine
-# ---------------------------------------------------------------------------
 
 
 def log_init_batch(model, xs: np.ndarray) -> np.ndarray:
@@ -481,7 +399,7 @@ def transition_rows(model, xs_prev: np.ndarray, xs_new: np.ndarray,
     rows_new[i] . rows_prev[j] = log m(xs_prev[j] -> xs_new[i])
     + new_offset_i + prev_offset_j.  Shapes (n_new, d+2) and (n_prev, d+2).
     """
-    mean = transition_mean(model, xs_prev)                 # (n_prev, d)
+    mean = model.transition_mean(xs_prev)          # (n_prev, d)
     d = mean.shape[1]
     q, const = model.q, _log_normalizer(model)
     inv_sd = 1.0 / np.sqrt(q)
@@ -547,7 +465,7 @@ def grad_theta_pair_rows(model, xs_prev: np.ndarray, carried: np.ndarray,
 
 def pair_rows_dim(model) -> int:
     """Width p of ``grad_theta_pair_rows``: dim_theta plus the model's pair features."""
-    return theta_layout(model).total + model.pair_feature_dim
+    return model.theta_layout().total + model.pair_feature_dim
 
 
 def _add_blocks(lay: ParamLayout, out: np.ndarray, blocks: dict) -> np.ndarray:
@@ -576,7 +494,7 @@ def grad_theta_pair_finish(model, xs_new: np.ndarray, y: np.ndarray,
     constant in j, so it enters scaled by the row sums, which the model's
     ``pair_finish`` returns with the transition term.
     """
-    lay = theta_layout(model)
+    lay = model.theta_layout()
     transition, row_sum = model.pair_finish(xs_new, sums[:, lay.total:])
     out = _add_blocks(lay, sums[:, :lay.total].copy(), transition)
     return _add_emission(model, lay, out, xs_new, y, row_sum)
@@ -594,30 +512,21 @@ def grad_theta_pair_contract(model, xs_prev: np.ndarray, xs_new: np.ndarray,
     ``grad_theta_pair_finish`` completes the rows.
     """
     if carried is None:
-        carried = np.zeros((xs_prev.shape[0], theta_layout(model).total))
+        carried = np.zeros((xs_prev.shape[0], model.theta_layout().total))
     return grad_theta_pair_finish(model, xs_new, y,
                                   coeff @ grad_theta_pair_rows(model, xs_prev, carried))
 
 
 def grad_theta_emission_batch(model, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-particle gradient of log g(xs[i], y); NaN entries of y masked."""
-    lay = theta_layout(model)
+    lay = model.theta_layout()
     return _add_emission(model, lay, np.zeros((xs.shape[0], lay.total)), xs, y,
                          np.ones(xs.shape[0]))
-
-
-def grad_theta_init_batch(model, xs: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """Per-particle gradient of log chi(x) + log g(x, y0) at t=0.
-
-    The initial density carries no learnable parameters in any of the
-    three model classes, so this is the emission gradient.
-    """
-    return grad_theta_emission_batch(model, xs, y0)
 
 
 def grad_theta_transition_pairs(model, xs_prev: np.ndarray,
                                 xs_new: np.ndarray) -> np.ndarray:
     """Per-pair transition gradients for matched rows; shape (k, dim_theta)."""
-    lay = theta_layout(model)
+    lay = model.theta_layout()
     return _add_blocks(lay, np.zeros((xs_prev.shape[0], lay.total)),
                        model.transition_grad_pairs(xs_prev, xs_new))

@@ -1,10 +1,12 @@
 """Closed-form references for the linear-Gaussian model.
 
-Kalman filter (Joseph-stabilized), RTS smoother, exact backward kernels,
-a dense joint-Gaussian brute force for small problems, and closed-form
-evaluation of the expected cumulative pair-term under an affine-Gaussian
-variational family.  Everything here is test-side ground truth for the
-Monte Carlo engine.  Only ``kalman_filter`` allows missing (NaN) entries.
+The Kalman filter (Joseph-stabilized), and the closed-form evaluation of
+the expected cumulative pair-term, hence the exact ELBO, under an
+affine-Gaussian variational family: ground truth for the Monte Carlo
+engine that the benchmark checks every run against.  Only
+``kalman_filter`` allows missing (NaN) entries.  The RTS smoother, the
+exact backward kernels and the dense joint-Gaussian brute force are in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelMismatch, NotSPD
-from .gaussian import LOG_2PI
+from .gaussian import LOG_2PI, to_moments
 from .models import LinearGaussianSSM
 from .variational import AffinePotential, ConjugateSequence
 
@@ -31,14 +33,6 @@ class FilterOutput:
     @property
     def loglik(self) -> float:
         return float(np.sum(self.loglik_increments))
-
-
-@dataclass
-class SmootherOutput:
-    smooth_mean: np.ndarray
-    smooth_cov: np.ndarray
-    backward_gain: np.ndarray  # (T, d, d): J_t for t = 0..T-1
-    pairwise_cov: np.ndarray   # (T, d, d): Cov(X_t, X_{t+1} | Y_{0:T})
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -92,100 +86,6 @@ def kalman_filter(model: LinearGaussianSSM, ys: np.ndarray) -> FilterOutput:
     return FilterOutput(pred_mean=pred_mean, pred_cov=pred_cov,
                         filt_mean=filt_mean, filt_cov=filt_cov,
                         loglik_increments=incr)
-
-
-def kalman_smoother(model: LinearGaussianSSM, filt: FilterOutput) -> SmootherOutput:
-    """RTS backward pass on filter output."""
-    t_len, d = filt.filt_mean.shape
-    sm = np.empty_like(filt.filt_mean)
-    sc = np.empty_like(filt.filt_cov)
-    gains = np.empty((max(t_len - 1, 0), d, d))
-    pair = np.empty((max(t_len - 1, 0), d, d))
-    sm[-1], sc[-1] = filt.filt_mean[-1], filt.filt_cov[-1]
-    for t in range(t_len - 2, -1, -1):
-        gain = filt.filt_cov[t] @ model.F.T @ np.linalg.inv(filt.pred_cov[t + 1])
-        gains[t] = gain
-        sm[t] = filt.filt_mean[t] + gain @ (sm[t + 1] - filt.pred_mean[t + 1])
-        sc[t] = _sym(filt.filt_cov[t] + gain @ (sc[t + 1] - filt.pred_cov[t + 1]) @ gain.T)
-        pair[t] = gain @ sc[t + 1]
-    return SmootherOutput(smooth_mean=sm, smooth_cov=sc, backward_gain=gains,
-                          pairwise_cov=pair)
-
-
-def exact_backward_kernel(model: LinearGaussianSSM, filt: FilterOutput, t: int):
-    """Affine-Gaussian law of X_{t-1} given X_t and Y_{0:t-1}.
-
-    Returns (A, b, cov) with X_{t-1} | X_t = x ~ N(A x + b, cov).
-    """
-    if t < 1:
-        raise ValueError("backward kernel defined for t >= 1")
-    p_prev = filt.filt_cov[t - 1]
-    a = p_prev @ model.F.T @ np.linalg.inv(filt.pred_cov[t])
-    b = filt.filt_mean[t - 1] - a @ filt.pred_mean[t]
-    cov = _sym(p_prev - a @ filt.pred_cov[t] @ a.T)
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD("backward kernel covariance lost positive definiteness") from exc
-    return a, b, cov
-
-
-# ---------------------------------------------------------------------------
-# Dense joint-Gaussian brute force (test-side oracle for tiny problems)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DenseJoint:
-    mean_x: np.ndarray   # ((T+1) d_x,)
-    cov_x: np.ndarray
-    mean_y: np.ndarray
-    cov_y: np.ndarray
-    cov_xy: np.ndarray
-
-
-def dense_joint(model: LinearGaussianSSM, t_len: int) -> DenseJoint:
-    """Joint Gaussian of (X_{0:T}, Y_{0:T}); state block capped at dim 12."""
-    d, dy = model.d_x, model.d_y
-    if t_len * d > 12:
-        raise ValueError("dense oracle capped at state dimension 12")
-    means = [model.mu0.copy()]
-    margs = [model.q0_var * np.eye(d)]
-    for _ in range(1, t_len):
-        means.append(model.F @ means[-1])
-        margs.append(_sym(model.F @ margs[-1] @ model.F.T + model.q_var * np.eye(d)))
-    cov_x = np.zeros((t_len * d, t_len * d))
-    for s in range(t_len):
-        block = margs[s]
-        cov_x[s * d:(s + 1) * d, s * d:(s + 1) * d] = block
-        prop = block
-        for t in range(s + 1, t_len):
-            prop = model.F @ prop  # Cov(x_t, x_s) = F^(t-s) Var(x_s)
-            cov_x[t * d:(t + 1) * d, s * d:(s + 1) * d] = prop
-            cov_x[s * d:(s + 1) * d, t * d:(t + 1) * d] = prop.T
-    g_blk = np.kron(np.eye(t_len), model.G)
-    mean_x = np.concatenate(means)
-    mean_y = g_blk @ mean_x
-    cov_y = _sym(g_blk @ cov_x @ g_blk.T + model.r_var * np.eye(t_len * dy))
-    cov_xy = cov_x @ g_blk.T
-    return DenseJoint(mean_x=mean_x, cov_x=cov_x, mean_y=mean_y, cov_y=cov_y,
-                      cov_xy=cov_xy)
-
-
-def dense_loglik(model: LinearGaussianSSM, ys: np.ndarray) -> float:
-    ys = np.asarray(ys, dtype=np.float64)
-    joint = dense_joint(model, ys.shape[0])
-    return _gauss_logpdf(ys.ravel() - joint.mean_y, joint.cov_y)
-
-
-def dense_smoother_moments(model: LinearGaussianSSM, ys: np.ndarray):
-    """Posterior mean/cov of the state block given all observations."""
-    ys = np.asarray(ys, dtype=np.float64)
-    joint = dense_joint(model, ys.shape[0])
-    sol = np.linalg.solve(joint.cov_y, ys.ravel() - joint.mean_y)
-    mean = joint.mean_x + joint.cov_xy @ sol
-    cov = joint.cov_x - joint.cov_xy @ np.linalg.solve(joint.cov_y, joint.cov_xy.T)
-    return mean, _sym(cov)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +172,6 @@ def expected_H(model: LinearGaussianSSM, family: ConjugateSequence,
         new_r += 0.5 * (logdet + d * LOG_2PI) + 0.5 * d
         quad = _Quadratic(C=new_c, c=new_lin, r=new_r)
 
-    from .gaussian import to_moments
     mom = to_moments(family.etas[t_len - 1])
     return quad.expect(mom.mean, mom.cov)
 
@@ -280,7 +179,6 @@ def expected_H(model: LinearGaussianSSM, family: ConjugateSequence,
 def exact_elbo(model: LinearGaussianSSM, family: ConjugateSequence,
                ys: np.ndarray) -> float:
     """Closed-form ELBO: expected pair-term plus the final marginal entropy."""
-    from .gaussian import to_moments
     ys = np.asarray(ys, dtype=np.float64)
     mom = to_moments(family.etas[ys.shape[0] - 1])
     sign, logdet = np.linalg.slogdet(mom.cov)

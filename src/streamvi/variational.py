@@ -13,9 +13,14 @@ with softplus-transformed diagonal.  Marginals use eps = 1e-6 so they
 are strictly negative definite by construction; potentials use eps = 0
 (validity is only required for the sum with a marginal).
 
-The module also houses the projection of the recurrent weight matrix
-onto a spectral-norm ball.  Clamping of log-potentials into
-[log eps-, log eps+] happens in the engine, on whole rows.
+The engine reads the marginals through ``gradients.marginal_chain`` and
+the potentials through ``potential_params_batch``; the one-point forms
+(``marginal_params``, ``potential_params``, ``backward_kernel``) are in
+``tests/reference.py``.  The module also houses the projection of the
+recurrent weight matrix onto a spectral-norm ball, and the exact
+conjugate family of the linear-Gaussian model.  Clamping of
+log-potentials into [log eps-, log eps+] happens in the engine, on whole
+rows.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import mlp
 from .errors import ModelMismatch
-from .gaussian import GaussianNatural, add
+from .gaussian import GaussianNatural
 from .layout import ParamLayout
 from .models import LinearGaussianSSM
 
@@ -55,10 +60,6 @@ class AmortizerParams:
     @property
     def hidden(self) -> int:
         return self.W.shape[0]
-
-    @property
-    def d_y(self) -> int:
-        return self.U.shape[1]
 
 
 @dataclass
@@ -169,16 +170,14 @@ def raw_to_natural(raw: np.ndarray, d: int, eps: float, diag_softplus: bool = Tr
 def natural_cotangent_to_raw(raw: np.ndarray, cot_eta1: np.ndarray,
                              cot_eta2: np.ndarray, d: int,
                              diag_softplus: bool = True) -> np.ndarray:
-    """Pull a cotangent in (eta1, eta2) back to raw coordinates.
+    """Pull cotangents in (eta1, eta2) back to raw coordinates.
 
-    Shapes mirror raw_to_natural (single or batched).  cot_eta2 is the
-    gradient w.r.t. the full dense eta2; it is symmetrized internally.
+    raw (n, p), cot_eta1 (n, d) and cot_eta2 (n, d, d) give (n, p).
+    cot_eta2 is the gradient w.r.t. the full dense eta2; it is symmetrized
+    internally.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    single = raw.ndim == 1
-    r = raw[None, :] if single else raw
-    c1 = np.asarray(cot_eta1)[None, :] if single else np.asarray(cot_eta1)
-    c2 = np.asarray(cot_eta2)[None, :, :] if single else np.asarray(cot_eta2)
+    r = np.asarray(raw, dtype=np.float64)
+    c2 = np.asarray(cot_eta2)
     n = r.shape[0]
     rows, cols, diag_pos = _tril(d)
     l_entries = r[:, d:].copy()
@@ -191,8 +190,7 @@ def natural_cotangent_to_raw(raw: np.ndarray, cot_eta1: np.ndarray,
     l_bar = low_bar[:, rows, cols]
     if diag_softplus:
         l_bar[:, diag_pos] *= _sigmoid(r[:, d:][:, diag_pos])
-    out = np.concatenate([c1, l_bar], axis=1)
-    return out[0] if single else out
+    return np.concatenate([cot_eta1, l_bar], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +203,6 @@ def advance(params: AmortizerParams, state: AmortizerState, y: np.ndarray) -> Am
     return AmortizerState(a=np.tanh(params.W @ state.a + params.U @ y + params.b))
 
 
-def marginal_raw(params: AmortizerParams, state: AmortizerState) -> np.ndarray:
-    return mlp.forward(params.head_marginal, state.a)
-
-
-def marginal_params(params: AmortizerParams, state: AmortizerState) -> GaussianNatural:
-    """eta_t from the recurrent state; negative definite by construction."""
-    eta1, eta2 = raw_to_natural(marginal_raw(params, state), params.d_x, MARGINAL_EPS)
-    return GaussianNatural(eta1=eta1, eta2=eta2)
-
-
-def potential_params(params: AmortizerParams, x_t: np.ndarray) -> GaussianNatural:
-    """eta~_t(x_t); the quadratic part is only negative semidefinite."""
-    raw = mlp.forward(params.head_potential, np.asarray(x_t, dtype=np.float64))
-    eta1, eta2 = raw_to_natural(raw, params.d_x, 0.0, diag_softplus=False)
-    return GaussianNatural(eta1=eta1, eta2=eta2)
-
-
 def potential_params_batch(params: AmortizerParams, xs: np.ndarray):
     """Batched potentials with forward caches for later backprop.
 
@@ -230,12 +211,6 @@ def potential_params_batch(params: AmortizerParams, xs: np.ndarray):
     raw, acts = mlp.forward_cached(params.head_potential, xs)
     eta1, eta2 = raw_to_natural(raw, params.d_x, 0.0, diag_softplus=False)
     return eta1, eta2, raw, acts
-
-
-def backward_kernel(params: AmortizerParams, eta_prev: GaussianNatural,
-                    x_t: np.ndarray) -> GaussianNatural:
-    """Natural parameters of q_{t-1|t}(x_t, .) = eta_prev + potential(x_t)."""
-    return add(eta_prev, potential_params(params, x_t))
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +270,6 @@ class AffinePotential:
     lin: np.ndarray
     const: np.ndarray
     eta2: np.ndarray
-
-    def eta_at(self, x_t: np.ndarray) -> GaussianNatural:
-        return GaussianNatural(eta1=self.lin @ x_t + self.const, eta2=self.eta2)
 
     def eta_batch(self, xs: np.ndarray):
         eta1 = xs @ self.lin.T + self.const

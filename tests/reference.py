@@ -11,6 +11,18 @@
   truncated amortizer chain (``grad_phi_log_marginal``,
   ``grad_phi_log_backward``) and their values, one log-density at a
   time: the reference that the engine's batched route is checked against.
+- The one-point forms that the runtime's batched forms are checked
+  against: of one Gaussian (``log_density``, ``log_partition``,
+  ``mean_params``, ``inner``, ``add``, ``from_moments``, ``suff_stat``);
+  of one pair of the models (``log_m``, ``log_g`` and
+  ``grad_theta_log_joint_pair``, the last two built from the models'
+  batched forms); of one point of the variational family
+  (``marginal_params``, ``potential_params``, ``backward_kernel``,
+  ``eta_at``); and ``validate_cloud``, the check of a cloud's cached
+  log-densities.
+- The linear-Gaussian smoothing references beside ``streamvi.oracle``:
+  the RTS smoother, the exact backward kernels and a dense joint-Gaussian
+  brute force for tiny problems.
 - ``kernel_phi_rows``, the kernel scores' phi rows of a step as one new
   float64 array, for the direct forms of the statistic updates.
 - ``fd_check``, the independent central-difference verifier.
@@ -23,9 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from streamvi import variational as var
-from streamvi.errors import StreamviError
-from streamvi.gaussian import LOG_2PI, log_density
+from streamvi import gaussian, models, oracle, variational as var
+from streamvi.engine import ParticleCloud
+from streamvi.errors import (DimensionMismatch, NonFiniteStatistic, NotNegativeDefinite, NotSPD,
+                             StreamviError)
+from streamvi.gaussian import LOG_2PI, GaussianMoments, GaussianNatural, to_moments
+from streamvi.models import LinearGaussianSSM
+from streamvi.oracle import FilterOutput
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +59,7 @@ class Node:
 
     # convenience operators; constants are auto-wrapped
     def __add__(self, other):
-        return add(self, self.tape.wrap(other))
+        return add_nodes(self, self.tape.wrap(other))
 
     def __mul__(self, other):
         return mul(self, self.tape.wrap(other))
@@ -108,7 +124,7 @@ def _unbroadcast(cot: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return cot
 
 
-def add(a: Node, b: Node) -> Node:
+def add_nodes(a: Node, b: Node) -> Node:
     return a.tape.push(a.value + b.value, (a, b),
                        lambda c: (_unbroadcast(c, a.value.shape),
                                   _unbroadcast(c, b.value.shape)))
@@ -294,7 +310,7 @@ def log_marginal_truncated(params: var.AmortizerParams, a_boundary: np.ndarray,
                            ys: list, x: np.ndarray) -> float:
     """Value of the truncated-window marginal log-density (FD target)."""
     state = _advanced_state(params, a_boundary, ys)
-    return log_density(var.marginal_params(params, state), x)
+    return log_density(marginal_params(params, state), x)
 
 
 def grad_phi_log_marginal(params: var.AmortizerParams, a_boundary: np.ndarray,
@@ -318,8 +334,8 @@ def grad_phi_log_marginal(params: var.AmortizerParams, a_boundary: np.ndarray,
 def log_backward_truncated(params: var.AmortizerParams, a_boundary: np.ndarray,
                            ys: list, x_t: np.ndarray, x_prev: np.ndarray) -> float:
     """Value of the truncated backward-kernel log-density (FD target)."""
-    eta_prev = var.marginal_params(params, _advanced_state(params, a_boundary, ys))
-    return log_density(var.backward_kernel(params, eta_prev, x_t), x_prev)
+    eta_prev = marginal_params(params, _advanced_state(params, a_boundary, ys))
+    return log_density(backward_kernel(params, eta_prev, x_t), x_prev)
 
 
 def grad_phi_log_backward(params: var.AmortizerParams, a_boundary: np.ndarray,
@@ -342,6 +358,261 @@ def grad_phi_log_backward(params: var.AmortizerParams, a_boundary: np.ndarray,
     out = _log_density_nodes(t, eta1_m + eta1_p, prec_m + prec_p,
                              np.asarray(x_prev, dtype=np.float64))
     return np.concatenate([g.ravel() for g in t.gradient(out, leaves)])
+
+
+# ---------------------------------------------------------------------------
+# One Gaussian: the one-point forms of ``streamvi.gaussian``
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SufficientStat:
+    """Sufficient statistic T(x) = (x, x x') of the Gaussian family."""
+
+    t1: np.ndarray
+    t2: np.ndarray
+
+
+def suff_stat(x) -> SufficientStat:
+    """T(x) with t2 = outer(x, x) exactly."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    return SufficientStat(t1=x, t2=np.outer(x, x))
+
+
+def from_moments(m: GaussianMoments) -> GaussianNatural:
+    """Convert moment form to natural form (inverts cov via Cholesky)."""
+    try:
+        low = np.linalg.cholesky(m.cov)
+    except np.linalg.LinAlgError as exc:
+        raise NotNegativeDefinite("covariance is not positive definite") from exc
+    eye = np.eye(m.cov.shape[0])
+    low_inv = np.linalg.solve(low, eye)
+    prec = low_inv.T @ low_inv
+    return GaussianNatural(eta1=prec @ m.mean, eta2=-0.5 * gaussian._symmetrize(prec))
+
+
+def add(a: GaussianNatural, b: GaussianNatural) -> GaussianNatural:
+    """Componentwise sum of natural parameters.
+
+    The result may be indefinite; validity is only checked when the sum
+    is used as a density (lazy Cholesky).
+    """
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    return GaussianNatural(eta1=a.eta1 + b.eta1, eta2=gaussian._symmetrize(a.eta2 + b.eta2))
+
+
+def log_partition(eta: GaussianNatural) -> float:
+    """Log-partition A(eta) so that exp(<eta,T(x)> - A) integrates to 1."""
+    low = eta.chol_precision()
+    half_solve = np.linalg.solve(low, eta.eta1)
+    # A = 1/2 mu' P mu + 1/2 log det(2 pi P^-1) with P = -2 eta2
+    logdet_prec = 2.0 * np.sum(np.log(np.diag(low)))
+    return float(
+        0.5 * (half_solve @ half_solve) + 0.5 * (eta.dim * LOG_2PI - logdet_prec)
+    )
+
+
+def log_density(eta: GaussianNatural, x) -> float:
+    """Normalized Gaussian log-density at x."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if x.shape[0] != eta.dim:
+        raise DimensionMismatch(f"x has length {x.shape[0]}, expected {eta.dim}")
+    return float(x @ eta.eta1 + x @ eta.eta2 @ x - log_partition(eta))
+
+
+def mean_params(eta: GaussianNatural) -> tuple[np.ndarray, np.ndarray]:
+    """Expected sufficient statistics (E[X], E[XX']) under eta.
+
+    These are the gradients of the log-partition, hence also the
+    centering terms of the score d/d_eta log p(x) = T(x) - E[T(X)].
+    """
+    m = to_moments(eta)
+    return m.mean, m.cov + np.outer(m.mean, m.mean)
+
+
+def inner(eta: GaussianNatural, t: SufficientStat) -> float:
+    """<eta, T(x)> = eta1.t1 + sum(eta2 * t2)."""
+    if eta.dim != t.t1.shape[0]:
+        raise DimensionMismatch(f"dimensions differ: {eta.dim} vs {t.t1.shape[0]}")
+    return float(eta.eta1 @ t.t1 + np.sum(eta.eta2 * t.t2))
+
+
+# ---------------------------------------------------------------------------
+# One pair: the model log-densities and their theta-gradient
+# ---------------------------------------------------------------------------
+
+
+def log_m(model, x_prev, x, t: int) -> float:
+    """Transition log-density; at t=0 the initial log-density of x."""
+    x = np.asarray(x, dtype=np.float64)
+    if t == 0:
+        return float(models._gauss_logpdf(x - model.init_mean, model.init_var))
+    resid = x - model.transition_mean(np.asarray(x_prev, dtype=np.float64))
+    return float(models._gauss_logpdf(resid, model.q))
+
+
+def log_g(model, x, y, t: int = 0) -> float:
+    """Emission log-density; NaN entries of y are missing and contribute 0."""
+    y = np.asarray(y, dtype=np.float64)
+    valid = ~np.isnan(y)
+    if not np.any(valid):
+        return 0.0
+    return float(model.log_g_rows(np.asarray(x, dtype=np.float64)[None], y, valid)[0])
+
+
+def grad_theta_log_joint_pair(model, x_prev, x, y, t: int) -> np.ndarray:
+    """Gradient of log_m(x_prev, x, t) + log_g(x, y, t) in the flat theta."""
+    x = np.asarray(x, dtype=np.float64)[None]
+    grad = models.grad_theta_emission_batch(model, x, y)[0]
+    if t > 0:
+        x_prev = np.asarray(x_prev, dtype=np.float64)[None]
+        grad += models.grad_theta_transition_pairs(model, x_prev, x)[0]
+    return grad
+
+
+# ---------------------------------------------------------------------------
+# One point of the variational family
+# ---------------------------------------------------------------------------
+
+
+def marginal_raw(params: var.AmortizerParams, state: var.AmortizerState) -> np.ndarray:
+    return var.mlp.forward(params.head_marginal, state.a)
+
+
+def marginal_params(params: var.AmortizerParams, state: var.AmortizerState) -> GaussianNatural:
+    """eta_t from the recurrent state; negative definite by construction."""
+    eta1, eta2 = var.raw_to_natural(marginal_raw(params, state), params.d_x, var.MARGINAL_EPS)
+    return GaussianNatural(eta1=eta1, eta2=eta2)
+
+
+def potential_params(params: var.AmortizerParams, x_t: np.ndarray) -> GaussianNatural:
+    """eta~_t(x_t); the quadratic part is only negative semidefinite."""
+    raw = var.mlp.forward(params.head_potential, np.asarray(x_t, dtype=np.float64))
+    eta1, eta2 = var.raw_to_natural(raw, params.d_x, 0.0, diag_softplus=False)
+    return GaussianNatural(eta1=eta1, eta2=eta2)
+
+
+def backward_kernel(params: var.AmortizerParams, eta_prev: GaussianNatural,
+                    x_t: np.ndarray) -> GaussianNatural:
+    """Natural parameters of q_{t-1|t}(x_t, .) = eta_prev + potential(x_t)."""
+    return add(eta_prev, potential_params(params, x_t))
+
+
+def eta_at(pot: var.AffinePotential, x_t: np.ndarray) -> GaussianNatural:
+    """The affine potential at one conditioning state."""
+    return GaussianNatural(eta1=pot.lin @ x_t + pot.const, eta2=pot.eta2)
+
+
+def validate_cloud(cloud: ParticleCloud, eta: GaussianNatural, tol: float = 1e-12) -> None:
+    """Raise unless the cloud's cached log q equals the log-density under ``eta``."""
+    ref = gaussian.log_density_cross(eta.eta1[None], eta.eta2[None], cloud.xi)[0]
+    if not np.allclose(ref, cloud.log_q_marginal, atol=tol, rtol=0):
+        raise NonFiniteStatistic("cached marginal log-densities are stale")
+
+
+# ---------------------------------------------------------------------------
+# Linear-Gaussian smoothing: the RTS smoother, the exact backward kernels
+# and a dense joint-Gaussian brute force for tiny problems
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SmootherOutput:
+    smooth_mean: np.ndarray
+    smooth_cov: np.ndarray
+    backward_gain: np.ndarray  # (T, d, d): J_t for t = 0..T-1
+    pairwise_cov: np.ndarray   # (T, d, d): Cov(X_t, X_{t+1} | Y_{0:T})
+
+
+def kalman_smoother(model: LinearGaussianSSM, filt: FilterOutput) -> SmootherOutput:
+    """RTS backward pass on filter output."""
+    t_len, d = filt.filt_mean.shape
+    sm = np.empty_like(filt.filt_mean)
+    sc = np.empty_like(filt.filt_cov)
+    gains = np.empty((max(t_len - 1, 0), d, d))
+    pair = np.empty((max(t_len - 1, 0), d, d))
+    sm[-1], sc[-1] = filt.filt_mean[-1], filt.filt_cov[-1]
+    for t in range(t_len - 2, -1, -1):
+        gain = filt.filt_cov[t] @ model.F.T @ np.linalg.inv(filt.pred_cov[t + 1])
+        gains[t] = gain
+        sm[t] = filt.filt_mean[t] + gain @ (sm[t + 1] - filt.pred_mean[t + 1])
+        sc[t] = oracle._sym(filt.filt_cov[t]
+                            + gain @ (sc[t + 1] - filt.pred_cov[t + 1]) @ gain.T)
+        pair[t] = gain @ sc[t + 1]
+    return SmootherOutput(smooth_mean=sm, smooth_cov=sc, backward_gain=gains,
+                          pairwise_cov=pair)
+
+
+def exact_backward_kernel(model: LinearGaussianSSM, filt: FilterOutput, t: int):
+    """Affine-Gaussian law of X_{t-1} given X_t and Y_{0:t-1}.
+
+    Returns (A, b, cov) with X_{t-1} | X_t = x ~ N(A x + b, cov).
+    """
+    if t < 1:
+        raise ValueError("backward kernel defined for t >= 1")
+    p_prev = filt.filt_cov[t - 1]
+    a = p_prev @ model.F.T @ np.linalg.inv(filt.pred_cov[t])
+    b = filt.filt_mean[t - 1] - a @ filt.pred_mean[t]
+    cov = oracle._sym(p_prev - a @ filt.pred_cov[t] @ a.T)
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPD("backward kernel covariance lost positive definiteness") from exc
+    return a, b, cov
+
+
+@dataclass
+class DenseJoint:
+    mean_x: np.ndarray   # ((T+1) d_x,)
+    cov_x: np.ndarray
+    mean_y: np.ndarray
+    cov_y: np.ndarray
+    cov_xy: np.ndarray
+
+
+def dense_joint(model: LinearGaussianSSM, t_len: int) -> DenseJoint:
+    """Joint Gaussian of (X_{0:T}, Y_{0:T}); state block capped at dim 12."""
+    d, dy = model.d_x, model.d_y
+    if t_len * d > 12:
+        raise ValueError("dense oracle capped at state dimension 12")
+    means = [model.mu0.copy()]
+    margs = [model.q0_var * np.eye(d)]
+    for _ in range(1, t_len):
+        means.append(model.F @ means[-1])
+        margs.append(oracle._sym(model.F @ margs[-1] @ model.F.T + model.q_var * np.eye(d)))
+    cov_x = np.zeros((t_len * d, t_len * d))
+    for s in range(t_len):
+        block = margs[s]
+        cov_x[s * d:(s + 1) * d, s * d:(s + 1) * d] = block
+        prop = block
+        for t in range(s + 1, t_len):
+            prop = model.F @ prop  # Cov(x_t, x_s) = F^(t-s) Var(x_s)
+            cov_x[t * d:(t + 1) * d, s * d:(s + 1) * d] = prop
+            cov_x[s * d:(s + 1) * d, t * d:(t + 1) * d] = prop.T
+    g_blk = np.kron(np.eye(t_len), model.G)
+    mean_x = np.concatenate(means)
+    mean_y = g_blk @ mean_x
+    cov_y = oracle._sym(g_blk @ cov_x @ g_blk.T + model.r_var * np.eye(t_len * dy))
+    cov_xy = cov_x @ g_blk.T
+    return DenseJoint(mean_x=mean_x, cov_x=cov_x, mean_y=mean_y, cov_y=cov_y,
+                      cov_xy=cov_xy)
+
+
+def dense_loglik(model: LinearGaussianSSM, ys: np.ndarray) -> float:
+    ys = np.asarray(ys, dtype=np.float64)
+    joint = dense_joint(model, ys.shape[0])
+    return oracle._gauss_logpdf(ys.ravel() - joint.mean_y, joint.cov_y)
+
+
+def dense_smoother_moments(model: LinearGaussianSSM, ys: np.ndarray):
+    """Posterior mean/cov of the state block given all observations."""
+    ys = np.asarray(ys, dtype=np.float64)
+    joint = dense_joint(model, ys.shape[0])
+    sol = np.linalg.solve(joint.cov_y, ys.ravel() - joint.mean_y)
+    mean = joint.mean_x + joint.cov_xy @ sol
+    cov = joint.cov_x - joint.cov_xy @ np.linalg.solve(joint.cov_y, joint.cov_xy.T)
+    return mean, oracle._sym(cov)
 
 
 # ---------------------------------------------------------------------------

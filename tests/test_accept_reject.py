@@ -47,11 +47,9 @@ class FixedPotentialRunner:
 
 
 def make_cloud(xs):
-    n, d = xs.shape
+    n = xs.shape[0]
     return engine.ParticleCloud(xi=xs, h_stat=np.zeros(n), g_stat=None, f_stat=None,
-                                log_q_marginal=np.zeros(n),
-                                eta=GaussianNatural(eta1=np.zeros(d),
-                                                    eta2=-0.5 * np.eye(d)), t=0)
+                                log_q_marginal=np.zeros(n), t=0)
 
 
 def diagonal_kernel(n_prev, slopes, log_eps_minus, t_max, deltas):

@@ -39,7 +39,7 @@ class TestInitCloud:
         cloud = engine.init_cloud(m, runner, y0, engine.EngineConfig(n_particles=4), rng)
         for i in range(4):
             x = cloud.xi[i]
-            want = (models.log_m(m, None, x, 0) + models.log_g(m, x, y0, 0))
+            want = (reference.log_m(m, None, x, 0) + reference.log_g(m, x, y0, 0))
             assert cloud.h_stat[i] == pytest.approx(want, abs=1e-12)
 
     def test_determinism_and_cache(self):
@@ -51,7 +51,7 @@ class TestInitCloud:
         c1 = engine.init_cloud(m, r1, np.array([0.1]), cfg, rng1)
         c2 = engine.init_cloud(m, r2, np.array([0.1]), cfg, rng2)
         np.testing.assert_array_equal(c1.xi, c2.xi)
-        c1.validate()
+        reference.validate_cloud(c1, r1.current_eta())
 
 
 class TestComputeWeights:
@@ -152,7 +152,7 @@ class TestEngineAgainstReferencePath:
         # manual reference: replicate the history bookkeeping
         hist = []
         a_live = np.zeros(params.hidden)
-        lay = models.theta_layout(m)
+        lay = m.theta_layout()
         h_ref = g_ref = f_ref = None
         for t, y in enumerate(ys):
             hist.append((a_live.copy(), y))
@@ -164,10 +164,10 @@ class TestEngineAgainstReferencePath:
             eta_cur = gaussian.GaussianNatural(chain_cur.eta1, chain_cur.eta2)
             xi = clouds[t].xi  # reuse the engine's draws
             if t == 0:
-                h_ref = np.array([models.log_m(m, None, x, 0) + models.log_g(m, x, y, 0)
+                h_ref = np.array([reference.log_m(m, None, x, 0) + reference.log_g(m, x, y, 0)
                                   for x in xi])
                 g_ref = np.zeros((n, runner.dim_phi))
-                f_ref = np.stack([models.grad_theta_log_joint_pair(m, None, x, y, 0)
+                f_ref = np.stack([reference.grad_theta_log_joint_pair(m, None, x, y, 0)
                                   for x in xi])
             else:
                 prev_hist = hist[:-1]
@@ -179,14 +179,14 @@ class TestEngineAgainstReferencePath:
                 g_new = np.empty((n, runner.dim_phi))
                 f_new = np.empty((n, lay.total))
                 for i in range(n):
-                    kern = var.backward_kernel(params, eta_prev, xi[i])
-                    log_un = np.array([gaussian.log_density(kern, xj) - lqj
+                    kern = reference.backward_kernel(params, eta_prev, xi[i])
+                    log_un = np.array([reference.log_density(kern, xj) - lqj
                                        for xj, lqj in zip(xi_prev, log_q_prev)])
                     w = np.exp(log_un - log_un.max())
                     w /= w.sum()
                     ht = np.array([
-                        models.log_m(m, xj, xi[i], t) + models.log_g(m, xi[i], y, t)
-                        - gaussian.log_density(kern, xj) for xj in xi_prev])
+                        reference.log_m(m, xj, xi[i], t) + reference.log_g(m, xi[i], y, t)
+                        - reference.log_density(kern, xj) for xj in xi_prev])
                     h_new[i] = w @ (h_ref + ht)
                     gacc = np.zeros(runner.dim_phi)
                     facc = np.zeros(lay.total)
@@ -194,13 +194,13 @@ class TestEngineAgainstReferencePath:
                         score = reference.grad_phi_log_backward(
                             params, bound_prev, ys_prev, xi[i], xi_prev[j], window)
                         gacc += w[j] * (g_ref[j] + score * (h_ref[j] + ht[j]))
-                        facc += w[j] * (f_ref[j] + models.grad_theta_log_joint_pair(
+                        facc += w[j] * (f_ref[j] + reference.grad_theta_log_joint_pair(
                             m, xi_prev[j], xi[i], y, t))
                     g_new[i] = gacc
                     f_new[i] = facc
                 h_ref, g_ref, f_ref = h_new, g_new, f_new
             xi_prev = xi
-            log_q_prev = np.array([gaussian.log_density(eta_cur, x) for x in xi])
+            log_q_prev = np.array([reference.log_density(eta_cur, x) for x in xi])
             np.testing.assert_allclose(clouds[t].h_stat, h_ref, rtol=1e-9, atol=1e-10)
             np.testing.assert_allclose(clouds[t].f_stat, f_ref, rtol=1e-9, atol=1e-10)
             assert clouds[t].g_stat.dtype == g_dtype
@@ -229,13 +229,14 @@ class TestNDegeneracy:
         for t in range(len(ys)):
             x = clouds[t].xi[0]
             if t == 0:
-                total = models.log_m(m, None, x, 0) + models.log_g(m, x, ys[0], 0)
+                total = reference.log_m(m, None, x, 0) + reference.log_g(m, x, ys[0], 0)
             else:
                 x_prev = clouds[t - 1].xi[0]
-                eta_prev = clouds[t - 1].eta
-                kern = var.backward_kernel(params, eta_prev, x)
-                total += (models.log_m(m, x_prev, x, t) + models.log_g(m, x, ys[t], t)
-                          - gaussian.log_density(kern, x_prev))
+                chain = clouds[t - 1].chain
+                eta_prev = gaussian.GaussianNatural(eta1=chain.eta1, eta2=chain.eta2)
+                kern = reference.backward_kernel(params, eta_prev, x)
+                total += (reference.log_m(m, x_prev, x, t) + reference.log_g(m, x, ys[t], t)
+                          - reference.log_density(kern, x_prev))
             assert clouds[t].h_stat[0] == pytest.approx(total, abs=1e-9)
             want_elbo = total - clouds[t].log_q_marginal[0]
             assert outs[t].elbo == pytest.approx(want_elbo, abs=1e-9)
@@ -389,8 +390,7 @@ class TestEstimate:
             xi = gaussian.sample(eta, rng, n)
             lq = gaussian.log_density_cross(eta.eta1[None], eta.eta2[None], xi)[0]
             cloud = engine.ParticleCloud(xi=xi, h_stat=h_fixed, g_stat=g_fixed,
-                                         f_stat=None, log_q_marginal=lq, eta=eta,
-                                         t=0, chain=chain)
+                                         f_stat=None, log_q_marginal=lq, t=0, chain=chain)
             means_on[r] = engine.estimate(cloud, use_control_variates=True).grad_phi
             means_off[r] = engine.estimate(cloud, use_control_variates=False).grad_phi
         se = np.sqrt(means_on.var(axis=0, ddof=1) / reps
@@ -487,3 +487,16 @@ class TestRunnerWindow:
                                     head_hidden=(3,), pot_hidden=(3,))
         with pytest.raises(ValueError, match="window"):
             engine.AmortizedRunner(params, window=-1)
+
+    @pytest.mark.parametrize("window", [1.5, 2.0, "2", None, -1])
+    def test_window_must_be_an_integer_at_construction(self, window):
+        # not at the second step, as a TypeError indexing the history, and
+        # not silently beside a runner that has no window
+        params = var.init_amortizer(np.random.default_rng(31), 1, 1, hidden=3,
+                                    head_hidden=(3,), pot_hidden=(3,))
+        with pytest.raises(ValueError, match="window"):
+            engine.AmortizedRunner(params, window=window)
+        with pytest.raises(ValueError, match="truncation_window"):
+            engine.EngineConfig(truncation_window=window)
+        assert engine.AmortizedRunner(params, window=np.int64(0)).window == 0
+        assert engine.EngineConfig(truncation_window=np.int64(0)).truncation_window == 0

@@ -46,7 +46,7 @@ def ref_log_density_cross(eta1, eta2, xs):
 
 
 def ref_log_m_cross(model, xs_prev, xs_new):
-    diff = xs_new[:, None, :] - models.transition_mean(model, xs_prev)[None, :, :]
+    diff = xs_new[:, None, :] - model.transition_mean(xs_prev)[None, :, :]
     if isinstance(model, models.ResidualNonlinearSSM):
         q = model.q_diag
         return np.sum(-0.5 * (LOG_2PI + np.log(q)) - 0.5 * diff * diff / q, axis=-1)
@@ -71,7 +71,7 @@ def ref_vjp_params_cross(params, xs, cots):
 
 def ref_pair_contract(model, xs_prev, xs_new, y, coeff):
     n_new = xs_new.shape[0]
-    lay = models.theta_layout(model)
+    lay = model.theta_layout()
     out = np.zeros((n_new, lay.total))
     row_sum = coeff.sum(axis=1)
     # the emission term is constant in j and has no pairwise form
@@ -83,7 +83,7 @@ def ref_pair_contract(model, xs_prev, xs_new, y, coeff):
         f_spec = lay.by_name["F"]
         out[:, f_spec.offset:f_spec.offset + f_spec.size] = g_f.reshape(n_new, -1) / model.q_var
         return out
-    resid = xs_new[:, None, :] - models.transition_mean(model, xs_prev)[None, :, :]
+    resid = xs_new[:, None, :] - model.transition_mean(xs_prev)[None, :, :]
     f_spec = lay.by_name["f_net"]
     out[:, f_spec.offset:f_spec.offset + f_spec.size] = ref_vjp_params_cross(
         model.f_net, xs_prev, coeff[:, :, None] * resid / model.q_diag)
@@ -215,7 +215,7 @@ def test_chaotic_pair_contract_matches_direct_form():
     got = models.grad_theta_pair_contract(model, xs_prev, xs_new, np.full(D, np.nan), 1,
                                           coeff)
     want = np.einsum("ij,ijp->ip", coeff, np.array(
-        [[models.grad_theta_log_joint_pair(model, xp, xn, np.full(D, np.nan), 1)
+        [[reference.grad_theta_log_joint_pair(model, xp, xn, np.full(D, np.nan), 1)
           for xp in xs_prev] for xn in xs_new]))
     assert_close(got, want)
 
@@ -249,7 +249,7 @@ def test_log_m_cross_on_shifted_cloud(make_model):
     rng = np.random.default_rng(70)
     model = make_model(rng)
     xs_prev = SHIFT + rng.standard_normal((5, D))
-    means = models.transition_mean(model, xs_prev)
+    means = model.transition_mean(xs_prev)
     q = (model.q_diag.min() if isinstance(model, models.ResidualNonlinearSSM)
          else model.q_var)
     # new particles next to the means, where the expansion cancels most
@@ -257,7 +257,7 @@ def test_log_m_cross_on_shifted_cloud(make_model):
     got = models.log_m_cross(model, xs_prev, xs_new, 1)
     for i, x in enumerate(xs_new):
         for j, xp in enumerate(xs_prev):
-            want = models.log_m(model, xp, x, 1)
+            want = reference.log_m(model, xp, x, 1)
             assert abs(got[i, j] - want) <= cancellation_bound(x, means[j], q)
 
 
@@ -268,12 +268,12 @@ def test_log_density_cross_on_shifted_cloud():
         a = rng.standard_normal((D, D))
         cov = a @ a.T + 0.05 * np.eye(D)
         mean = SHIFT + rng.standard_normal(D)
-        etas.append((gaussian.from_moments(gaussian.GaussianMoments(mean=mean, cov=cov)),
+        etas.append((reference.from_moments(gaussian.GaussianMoments(mean=mean, cov=cov)),
                      mean, np.linalg.eigvalsh(cov)[0]))
     xs = np.concatenate([m + rng.standard_normal((2, D)) for _, m, _ in etas])
     got = gaussian.log_density_cross(np.stack([e.eta1 for e, _, _ in etas]),
                                      np.stack([e.eta2 for e, _, _ in etas]), xs)
     for i, (eta, mean, q) in enumerate(etas):
         for j, x in enumerate(xs):
-            assert abs(got[i, j] - gaussian.log_density(eta, x)) <= cancellation_bound(
+            assert abs(got[i, j] - reference.log_density(eta, x)) <= cancellation_bound(
                 x, mean, q)

@@ -10,6 +10,7 @@ entries stays finite on every route.
 import numpy as np
 import pytest
 
+import reference
 from streamvi import engine, models, oracle, variational as var
 from streamvi.gaussian import LOG_2PI
 
@@ -32,7 +33,7 @@ def observations(t_len, missing, seed=0):
 
 def dense_observed_loglik(model, ys):
     """log p of the observed entries under the dense joint Gaussian."""
-    joint = oracle.dense_joint(model, ys.shape[0])
+    joint = reference.dense_joint(model, ys.shape[0])
     obs = ~np.isnan(ys.ravel())
     resid = ys.ravel()[obs] - joint.mean_y[obs]
     cov = joint.cov_y[np.ix_(obs, obs)]

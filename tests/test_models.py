@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
+import reference
 from reference import fd_check
 from streamvi import gaussian, mlp, models
 
@@ -68,7 +69,7 @@ class TestSimulate:
 class TestLogDensities:
     def test_lgssm_hand_value(self):
         m = models.LinearGaussianSSM(F=np.eye(1), G=np.eye(1), q_var=1.0, r_var=1.0)
-        assert models.log_m(m, np.zeros(1), np.zeros(1), 1) == pytest.approx(
+        assert reference.log_m(m, np.zeros(1), np.zeros(1), 1) == pytest.approx(
             -0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_lgssm_translation_structure(self):
@@ -78,8 +79,8 @@ class TestLogDensities:
         x = rng.standard_normal(2)
         shift = rng.standard_normal(2)
         # shifting x_prev by s and x by F s leaves the residual unchanged
-        a = models.log_m(m, x_prev, x, 1)
-        b = models.log_m(m, x_prev + shift, x + m.F @ shift, 1)
+        a = reference.log_m(m, x_prev, x, 1)
+        b = reference.log_m(m, x_prev + shift, x + m.F @ shift, 1)
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_chaotic_log_m_matches_gaussian_module(self):
@@ -87,28 +88,28 @@ class TestLogDensities:
         m = make_chaotic(rng)
         x_prev = rng.standard_normal(3)
         x = rng.standard_normal(3)
-        eta = gaussian.from_moments(gaussian.GaussianMoments(
-            mean=m.drift(x_prev), cov=m.q_var * np.eye(3)))
-        assert models.log_m(m, x_prev, x, 1) == pytest.approx(
-            gaussian.log_density(eta, x), abs=1e-10)
+        eta = reference.from_moments(gaussian.GaussianMoments(
+            mean=m.transition_mean(x_prev), cov=m.q_var * np.eye(3)))
+        assert reference.log_m(m, x_prev, x, 1) == pytest.approx(
+            reference.log_density(eta, x), abs=1e-10)
 
     def test_lgssm_log_g_matches_gaussian_module(self):
         rng = np.random.default_rng(6)
         m = make_lgssm(rng)
         x = rng.standard_normal(2)
         y = rng.standard_normal(2)
-        eta = gaussian.from_moments(gaussian.GaussianMoments(
+        eta = reference.from_moments(gaussian.GaussianMoments(
             mean=m.G @ x, cov=m.r_var * np.eye(2)))
-        assert models.log_g(m, x, y, 1) == pytest.approx(
-            gaussian.log_density(eta, y), abs=1e-10)
+        assert reference.log_g(m, x, y, 1) == pytest.approx(
+            reference.log_density(eta, y), abs=1e-10)
 
     def test_log_g_maximal_at_mean(self):
         rng = np.random.default_rng(7)
         m = make_lgssm(rng)
         x = rng.standard_normal(2)
-        best = models.log_g(m, x, m.G @ x, 1)
+        best = reference.log_g(m, x, m.G @ x, 1)
         for _ in range(20):
-            assert models.log_g(m, x, m.G @ x + 0.1 * rng.standard_normal(2), 1) <= best
+            assert reference.log_g(m, x, m.G @ x + 0.1 * rng.standard_normal(2), 1) <= best
 
     def test_student_t_gaussian_limit(self):
         rng = np.random.default_rng(8)
@@ -118,8 +119,8 @@ class TestLogDensities:
         y = x + 0.2 * rng.standard_normal(d)
         gauss = models.LinearGaussianSSM(F=np.eye(d), G=np.eye(d), q_var=m.q_var,
                                          r_var=m.t_scale**2)
-        assert models.log_g(m, x, y, 1) == pytest.approx(
-            models.log_g(gauss, x, y, 1), abs=1e-3)
+        assert reference.log_g(m, x, y, 1) == pytest.approx(
+            reference.log_g(gauss, x, y, 1), abs=1e-3)
 
     def test_masked_coordinates_contribute_zero(self):
         rng = np.random.default_rng(9)
@@ -128,29 +129,29 @@ class TestLogDensities:
             y = rng.standard_normal(m.d_y)
             y_masked = y.copy()
             y_masked[0] = np.nan
-            full = models.log_g(m, x, y, 1)
-            part = models.log_g(m, x, y_masked, 1)
+            full = reference.log_g(m, x, y, 1)
+            part = reference.log_g(m, x, y_masked, 1)
             # unmasking only coordinate 0 recovers the difference
             y_only0 = np.full(m.d_y, np.nan)
             y_only0[0] = y[0]
-            only0 = models.log_g(m, x, y_only0, 1)
+            only0 = reference.log_g(m, x, y_only0, 1)
             assert full == pytest.approx(part + only0, abs=1e-10)
-            assert models.log_g(m, x, np.full(m.d_y, np.nan), 1) == 0.0
+            assert reference.log_g(m, x, np.full(m.d_y, np.nan), 1) == 0.0
 
 
 class TestGradTheta:
     def test_lgssm_f_block_zero_at_origin(self):
         rng = np.random.default_rng(10)
         m = make_lgssm(rng)
-        lay = models.theta_layout(m)
-        g = models.grad_theta_log_joint_pair(m, np.zeros(2), rng.standard_normal(2),
-                                             rng.standard_normal(2), 1)
+        lay = m.theta_layout()
+        g = reference.grad_theta_log_joint_pair(m, np.zeros(2), rng.standard_normal(2),
+                                                rng.standard_normal(2), 1)
         np.testing.assert_array_equal(lay.view(g, "F"), np.zeros((2, 2)))
 
     def test_lgssm_hand_value(self):
         m = models.LinearGaussianSSM(F=np.eye(1), G=np.eye(1), q_var=0.1, r_var=1.0)
-        lay = models.theta_layout(m)
-        g = models.grad_theta_log_joint_pair(
+        lay = m.theta_layout()
+        g = reference.grad_theta_log_joint_pair(
             m, np.array([1.0]), np.array([2.0]), np.array([np.nan]), 1)
         # d/dF log m = (x - F x_prev) x_prev / q = (2-1)*1/0.1 = 10
         assert lay.view(g, "F")[0, 0] == pytest.approx(10.0, abs=1e-12)
@@ -168,11 +169,11 @@ class TestGradTheta:
                 y[rng.integers(0, m.d_y)] = np.nan  # exercise masking
             t = 0 if k % 5 == 0 else 1
             theta0 = models.get_theta(m)
-            analytic = models.grad_theta_log_joint_pair(m, x_prev, x, y, t)
+            analytic = reference.grad_theta_log_joint_pair(m, x_prev, x, y, t)
 
             def f(th):
                 mm = models.with_theta(m, th)
-                return models.log_m(mm, x_prev, x, t) + models.log_g(mm, x, y, t)
+                return reference.log_m(mm, x_prev, x, t) + reference.log_g(mm, x, y, t)
 
             rep = fd_check(f, theta0, analytic, h=1e-6, tol=1e-5)
             assert rep.passed, f"instance {k}: max rel err {rep.max_rel_err:.2e}"
@@ -188,7 +189,7 @@ class TestBatchedVariants:
             for i in range(3):
                 for j in range(4):
                     assert cross[i, j] == pytest.approx(
-                        models.log_m(m, xp[j], xn[i], 1), abs=1e-10)
+                        reference.log_m(m, xp[j], xn[i], 1), abs=1e-10)
 
     @pytest.mark.parametrize("t", [0, 1])
     def test_log_m_cross_matches_scalar_at_t(self, t):
@@ -197,7 +198,7 @@ class TestBatchedVariants:
         for m in (make_lgssm(rng), make_chaotic(rng), make_residual(rng)):
             xp = rng.standard_normal((4, m.d_x))
             xn = rng.standard_normal((3, m.d_x))
-            want = [[models.log_m(m, xp[j], xn[i], t) for j in range(4)] for i in range(3)]
+            want = [[reference.log_m(m, xp[j], xn[i], t) for j in range(4)] for i in range(3)]
             np.testing.assert_allclose(models.log_m_cross(m, xp, xn, t), want,
                                        rtol=1e-12, atol=1e-10)
 
@@ -209,7 +210,7 @@ class TestBatchedVariants:
             y[0] = np.nan
             got = models.log_g_batch(m, xs, y)
             for i in range(5):
-                assert got[i] == pytest.approx(models.log_g(m, xs[i], y, 1), abs=1e-10)
+                assert got[i] == pytest.approx(reference.log_g(m, xs[i], y, 1), abs=1e-10)
 
     def test_pair_contract_matches_loop(self):
         rng = np.random.default_rng(14)
@@ -223,7 +224,7 @@ class TestBatchedVariants:
             coeff /= coeff.sum(axis=1, keepdims=True)
             got = models.grad_theta_pair_contract(m, xp, xn, y, 1, coeff)
             for i in range(n_new):
-                want = sum(coeff[i, j] * models.grad_theta_log_joint_pair(m, xp[j], xn[i], y, 1)
+                want = sum(coeff[i, j] * reference.grad_theta_log_joint_pair(m, xp[j], xn[i], y, 1)
                            for j in range(n_prev))
                 np.testing.assert_allclose(got[i], want, rtol=1e-9, atol=1e-10)
 
@@ -232,9 +233,9 @@ class TestBatchedVariants:
         for m in (make_lgssm(rng), make_chaotic(rng), make_residual(rng)):
             xs = rng.standard_normal((4, m.d_x))
             y0 = rng.standard_normal(m.d_y)
-            got = models.grad_theta_init_batch(m, xs, y0)
+            got = models.grad_theta_emission_batch(m, xs, y0)
             for i in range(4):
-                want = models.grad_theta_log_joint_pair(m, None, xs[i], y0, 0)
+                want = reference.grad_theta_log_joint_pair(m, None, xs[i], y0, 0)
                 np.testing.assert_allclose(got[i], want, rtol=1e-9, atol=1e-10)
 
     # an observation with every coordinate missing goes through the one
@@ -253,9 +254,9 @@ class TestBatchedVariants:
         m = maker(rng)
         xs = rng.standard_normal((4, m.d_x))
         y0 = np.full(m.d_y, np.nan)
-        got = models.grad_theta_init_batch(m, xs, y0)
+        got = models.grad_theta_emission_batch(m, xs, y0)
         for i in range(4):
-            want = models.grad_theta_log_joint_pair(m, None, xs[i], y0, 0)
+            want = reference.grad_theta_log_joint_pair(m, None, xs[i], y0, 0)
             np.testing.assert_allclose(got[i], want, rtol=1e-9, atol=1e-10)
 
     @pytest.mark.parametrize("maker", [make_lgssm, make_chaotic, make_residual])
@@ -270,7 +271,7 @@ class TestBatchedVariants:
         coeff /= coeff.sum(axis=1, keepdims=True)
         got = models.grad_theta_pair_contract(m, xp, xn, y, 1, coeff)
         for i in range(n_new):
-            want = sum(coeff[i, j] * models.grad_theta_log_joint_pair(m, xp[j], xn[i], y, 1)
+            want = sum(coeff[i, j] * reference.grad_theta_log_joint_pair(m, xp[j], xn[i], y, 1)
                        for j in range(n_prev))
             np.testing.assert_allclose(got[i], want, rtol=1e-9, atol=1e-10)
 
@@ -286,7 +287,7 @@ class TestThetaViews:
     def test_layout_partitions(self):
         rng = np.random.default_rng(17)
         m = make_residual(rng)
-        lay = models.theta_layout(m)
+        lay = m.theta_layout()
         assert lay.total == models.get_theta(m).size
         covered = sum(e.size for e in lay.entries)
         assert covered == lay.total

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from streamvi import gaussian, models, oracle, variational as var
 
 
@@ -33,7 +34,7 @@ class TestKalmanFilter:
             m = make_lgssm(rng, d_x=d, d_y=d)
             _, ys = models.simulate(m, 4, rng)  # T+1 = 5 steps
             filt = oracle.kalman_filter(m, ys)
-            dense = oracle.dense_loglik(m, ys)
+            dense = reference.dense_loglik(m, ys)
             assert filt.loglik == pytest.approx(dense, abs=1e-8)
 
     def test_joseph_symmetry_long_stream(self):
@@ -51,7 +52,7 @@ class TestKalmanSmoother:
         m = make_lgssm(rng)
         _, ys = models.simulate(m, 20, rng)
         filt = oracle.kalman_filter(m, ys)
-        sm = oracle.kalman_smoother(m, filt)
+        sm = reference.kalman_smoother(m, filt)
         np.testing.assert_array_equal(sm.smooth_mean[-1], filt.filt_mean[-1])
         np.testing.assert_array_equal(sm.smooth_cov[-1], filt.filt_cov[-1])
 
@@ -60,8 +61,8 @@ class TestKalmanSmoother:
         m = make_lgssm(rng, d_x=2, d_y=2)
         _, ys = models.simulate(m, 4, rng)
         filt = oracle.kalman_filter(m, ys)
-        sm = oracle.kalman_smoother(m, filt)
-        mean, cov = oracle.dense_smoother_moments(m, ys)
+        sm = reference.kalman_smoother(m, filt)
+        mean, cov = reference.dense_smoother_moments(m, ys)
         d = m.d_x
         for t in range(5):
             np.testing.assert_allclose(sm.smooth_mean[t], mean[t * d:(t + 1) * d], atol=1e-8)
@@ -73,7 +74,7 @@ class TestKalmanSmoother:
         m = models.LinearGaussianSSM(F=np.zeros((2, 2)), G=np.eye(2))
         _, ys = models.simulate(m, 10, rng)
         filt = oracle.kalman_filter(m, ys)
-        sm = oracle.kalman_smoother(m, filt)
+        sm = reference.kalman_smoother(m, filt)
         np.testing.assert_allclose(sm.smooth_mean, filt.filt_mean, atol=1e-12)
         np.testing.assert_allclose(sm.smooth_cov, filt.filt_cov, atol=1e-12)
 
@@ -84,7 +85,7 @@ class TestExactBackwardKernel:
         m = models.LinearGaussianSSM(F=np.zeros((1, 1)), G=np.eye(1))
         _, ys = models.simulate(m, 5, rng)
         filt = oracle.kalman_filter(m, ys)
-        a, b, cov = oracle.exact_backward_kernel(m, filt, 3)
+        a, b, cov = reference.exact_backward_kernel(m, filt, 3)
         np.testing.assert_allclose(a, 0.0, atol=1e-14)
         np.testing.assert_allclose(b, filt.filt_mean[2], atol=1e-12)
         np.testing.assert_allclose(cov, filt.filt_cov[2], atol=1e-12)
@@ -94,9 +95,9 @@ class TestExactBackwardKernel:
         m = make_lgssm(rng, d_x=1, d_y=1)
         _, ys = models.simulate(m, 3, rng)
         filt = oracle.kalman_filter(m, ys)
-        sm = oracle.kalman_smoother(m, filt)
+        sm = reference.kalman_smoother(m, filt)
         for t in range(1, 4):
-            a, b, cov = oracle.exact_backward_kernel(m, filt, t)
+            a, b, cov = reference.exact_backward_kernel(m, filt, t)
             np.testing.assert_allclose(a @ sm.smooth_mean[t] + b, sm.smooth_mean[t - 1],
                                        atol=1e-10)
             np.testing.assert_allclose(a @ sm.smooth_cov[t], sm.pairwise_cov[t - 1],
@@ -109,9 +110,10 @@ class TestExactBackwardKernel:
         filt = oracle.kalman_filter(m, ys)
         family = var.exact_conjugate_mode(m, filt)
         for t in (1, 3, 5):
-            a, b, cov = oracle.exact_backward_kernel(m, filt, t)
+            a, b, cov = reference.exact_backward_kernel(m, filt, t)
             x_t = rng.standard_normal(2)
-            eta = gaussian.add(family.etas[t - 1], family.potentials[t - 1].eta_at(x_t))
+            eta = reference.add(family.etas[t - 1],
+                                reference.eta_at(family.potentials[t - 1], x_t))
             mom = gaussian.to_moments(eta)
             np.testing.assert_allclose(mom.mean, a @ x_t + b, atol=1e-8)
             np.testing.assert_allclose(mom.cov, cov, atol=1e-8)
@@ -134,7 +136,7 @@ class TestExpectedH:
         filt = oracle.kalman_filter(m, ys)
         family = var.exact_conjugate_mode(m, filt)
         inflated = var.ConjugateSequence(
-            etas=[gaussian.from_moments(gaussian.GaussianMoments(
+            etas=[reference.from_moments(gaussian.GaussianMoments(
                 gaussian.to_moments(e).mean, 2.0 * gaussian.to_moments(e).cov))
                 for e in family.etas],
             potentials=family.potentials,
@@ -150,7 +152,7 @@ class TestExpectedH:
         family = var.exact_conjugate_mode(m, filt)
         # perturb so the test is not the trivial zero-KL identity
         family = var.ConjugateSequence(
-            etas=[gaussian.from_moments(gaussian.GaussianMoments(
+            etas=[reference.from_moments(gaussian.GaussianMoments(
                 gaussian.to_moments(e).mean + 0.1, 1.5 * gaussian.to_moments(e).cov))
                 for e in family.etas],
             potentials=family.potentials,

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from streamvi import engine, gaussian, mlp, models, variational as var
-from streamvi.gaussian import GaussianNatural
 
 KINDS = ["lgssm", "chaotic", "residual"]
 
@@ -73,7 +72,7 @@ def test_pair_terms_matches_separate_forms(kind, d, n_prev, n_new, shift, h_scal
     model = make_model(kind, d, rng)
     q = min_noise(model)
     xs_prev = shift + rng.standard_normal((n_prev, d))
-    means = models.transition_mean(model, xs_prev)
+    means = model.transition_mean(xs_prev)
     # new particles next to the transition means, where the expansion cancels most
     xs_new = means[rng.integers(0, n_prev, n_new)] + math.sqrt(q) * rng.standard_normal(
         (n_new, d))
@@ -81,9 +80,7 @@ def test_pair_terms_matches_separate_forms(kind, d, n_prev, n_new, shift, h_scal
     y = xs_new[0] + rng.standard_normal(d)
     eta1, eta2, k_mean, k_var = random_kernels(rng, n_new, d, shift)
     cloud = engine.ParticleCloud(xi=xs_prev, h_stat=h_prev, g_stat=None, f_stat=None,
-                                 log_q_marginal=np.zeros(n_prev),
-                                 eta=GaussianNatural(eta1=np.zeros(d), eta2=-0.5 * np.eye(d)),
-                                 t=1)
+                                 log_q_marginal=np.zeros(n_prev), t=1)
     kernel = engine.KernelBatch(eta1=eta1, eta2=eta2, pot_eta1=eta1, pot_eta2=eta2,
                                 pot_raw=None, pot_acts=None)
     left, right = engine.pair_terms(model, cloud, xs_new, y, kernel,
@@ -121,7 +118,7 @@ def test_carried_f_folds_into_the_contraction(kind, n_prev, n_new, missing):
         y[0] = np.nan
     w = rng.uniform(0.0, 1.0, (n_new, n_prev))
     w /= w.sum(axis=1, keepdims=True)
-    f = rng.standard_normal((n_prev, models.theta_layout(model).total))
+    f = rng.standard_normal((n_prev, model.theta_layout().total))
     got = models.grad_theta_pair_contract(model, xs_prev, xs_new, y, 1, w, carried=f)
     want = w @ f + models.grad_theta_pair_contract(model, xs_prev, xs_new, y, 1, w)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -156,7 +156,7 @@ def test_gather_mean_matches_three_dim_gather(n, m, chunk_rows, monkeypatch):
 def cloud_arrays(cloud):
     chain = cloud.chain
     arrays = {"xi": cloud.xi, "h": cloud.h_stat, "g": cloud.g_stat, "f": cloud.f_stat,
-              "log_q": cloud.log_q_marginal, "eta1": cloud.eta.eta1, "eta2": cloud.eta.eta2}
+              "log_q": cloud.log_q_marginal}
     if chain is not None:
         for name in ("raw", "eta1", "eta2", "jac", "nat_jac"):
             arrays["chain." + name] = getattr(chain, name)
@@ -305,12 +305,11 @@ def test_step_scratch_stays_within_budget(method, bound):
 
 
 def small_cloud(rng, n=5):
-    eta = gaussian.GaussianNatural(eta1=np.zeros(D), eta2=-0.5 * np.eye(D))
     return engine.ParticleCloud(xi=rng.standard_normal((n, D)),
                                 h_stat=rng.standard_normal(n),
                                 g_stat=rng.standard_normal((n, 4)),
                                 f_stat=rng.standard_normal((n, 3)),
-                                log_q_marginal=np.zeros(n), eta=eta, t=9)
+                                log_q_marginal=np.zeros(n), t=9)
 
 
 @pytest.mark.parametrize("name", ["g", "f"])

@@ -10,9 +10,10 @@ feature rows:
   the kernel cotangents summed over the draws, and the per-pair transition
   and emission theta-gradients (``models.grad_theta_transition_pairs``,
   ``models.grad_theta_emission_batch``);
-- the dense direct form with W: every pair's bracket from the scalar
-  ``log_m``, ``log_g`` and ``gaussian.log_density``, and its theta-gradient
-  from ``grad_theta_log_joint_pair``, with repeated draws adding up in W.
+- the dense direct form with W: every pair's bracket from the one-point
+  ``log_m``, ``log_g`` and ``log_density`` of ``reference``, and its
+  theta-gradient from ``grad_theta_log_joint_pair``, with repeated draws
+  adding up in W.
 """
 
 import copy
@@ -67,7 +68,7 @@ def gathered_reference(cloud, xi_new, model, runner, y, kernel, idx):
     """h, g and f from the forms gathered at the drawn pairs."""
     n_new, m_draws = idx.shape
     xs_j = cloud.xi[idx]
-    log_m = models.log_m_gathered(model, models.transition_mean(model, cloud.xi), idx,
+    log_m = models.log_m_gathered(model, model.transition_mean(cloud.xi), idx,
                                   xi_new)
     log_z = gaussian.log_partition_batch(kernel.eta1, kernel.eta2)
     log_kernel = (np.einsum("nd,nmd->nm", kernel.eta1, xs_j)
@@ -90,17 +91,17 @@ def dense_reference(cloud, xi_new, model, runner, y, kernel, idx):
     n_new, m_draws = idx.shape
     w = np.zeros((n_new, cloud.n))
     np.add.at(w, (np.repeat(np.arange(n_new), m_draws), idx.ravel()), 1.0 / m_draws)
-    bracket = np.array([[cloud.h_stat[j] + models.log_m(model, xp, x, 1)
-                         + models.log_g(model, x, y)
-                         - gaussian.log_density(GaussianNatural(kernel.eta1[i], kernel.eta2[i]),
-                                                xp)
+    bracket = np.array([[cloud.h_stat[j] + reference.log_m(model, xp, x, 1)
+                         + reference.log_g(model, x, y)
+                         - reference.log_density(GaussianNatural(kernel.eta1[i], kernel.eta2[i]),
+                                                 xp)
                          for j, xp in enumerate(cloud.xi)] for i, x in enumerate(xi_new)])
     h = np.einsum("ij,ij->i", w, bracket)
     xs = np.broadcast_to(cloud.xi, (n_new, *cloud.xi.shape))
     u1, u2 = kernel_cotangents(kernel, w * (bracket - h[:, None]), xs)
     g = (w @ cloud.g_stat.astype(np.float64)
          + reference.kernel_phi_rows(runner, u1, u2, kernel.pot_raw, kernel.pot_acts))
-    pair_grads = np.array([[models.grad_theta_log_joint_pair(model, xp, x, y, 1)
+    pair_grads = np.array([[reference.grad_theta_log_joint_pair(model, xp, x, y, 1)
                             for xp in cloud.xi] for x in xi_new])
     f = w @ cloud.f_stat + np.einsum("ij,ijp->ip", w, pair_grads)
     return h, g, f
