@@ -28,10 +28,13 @@ gradients and g's column sums are float64.
 
 On the full route one helper thread per process (``_helper_thread``)
 runs the theta pair rows and each block's w @ g_prev beside the main
-thread's float64 work, on the same operands as in line, so outputs are
-bit-identical.  It calls nothing the benchmark's tracer wraps, every
-task has finished when ``update_statistics`` returns or raises, and a
-forked child forgets its parent's helper (``os.register_at_fork``).
+thread's float64 work.  Where the main thread would wait for a product,
+it first takes the newest one the helper has not started (a cancelled
+future) and runs it itself.  Either thread makes the same BLAS call on
+the same operands into the same rows of g, so outputs are bit-identical.
+The helper calls nothing the benchmark's tracer wraps, every task has
+finished or been cancelled when ``update_statistics`` returns or raises,
+and a forked child forgets its parent's helper (``os.register_at_fork``).
 """
 
 from __future__ import annotations
@@ -52,11 +55,18 @@ from .gaussian import GaussianNatural
 # of one round's gathered proposal features on the accept-reject route.  At
 # N=2000 on a 2-core x86 VM with one BLAS thread, 0.5 MiB blocks were
 # slower, 1-8 MiB about as fast as one whole block, and larger blocks only
-# raised peak memory.  A block is also the grain of the overlap of w @ g_prev
-# with the float64 work: with one block, as at N=500, the helper runs the
-# theta rows and then the one product, beside the main thread's pair rows,
-# bracket, moments, theta sums and the part of the tail that reads no g.
+# raised peak memory.  A block is also the grain at which the two threads
+# share the products w @ g_prev: with one block, as at N=500, the helper runs
+# the theta rows and then the one product, beside the main thread's pair
+# rows, bracket, moments, theta sums and the part of the tail that reads no
+# g; with more, the main thread takes queued products at a slot's reuse and
+# at the drain.
 ROW_BLOCK_BYTES = 4 << 20
+
+# Slots of the full route's g product, each one block's left operand: the
+# helper works through the queued products while the main thread fills the
+# next slot.  An update never has more slots than blocks.
+G_SLOTS = 3
 
 # Bytes of one chunk of rows in the passes that need no whole block: a
 # block's bracket and moments, the tail's one pass over the new g (the
@@ -228,6 +238,14 @@ class AmortizedRunner:
         self.chain_cur = self._chain(self.a_live, self.hist)
         self.chain_prev = None if first else self._chain(a_prev, self.hist[:-1])
 
+    def snapshot(self) -> tuple:
+        """What ``begin_step`` advances, for ``restore``."""
+        return self.a_live, list(self.hist), self.chain_cur, self.chain_prev
+
+    def restore(self, saved: tuple) -> None:
+        """Undo the ``begin_step`` calls since ``saved = snapshot()``."""
+        self.a_live, self.hist, self.chain_cur, self.chain_prev = saved
+
     def _chain(self, a_end: np.ndarray, hist: list) -> gradients.MarginalChain:
         """The chain of the state ``a_end`` that ``hist`` ends at: its last
         ``window`` updates re-run, or with none the head at ``a_end``."""
@@ -297,6 +315,14 @@ class ConjugateRunner:
 
     def begin_step(self, y_t: np.ndarray) -> None:
         self.t += 1
+
+    def snapshot(self) -> int:
+        """What ``begin_step`` advances, for ``restore``."""
+        return self.t
+
+    def restore(self, saved: int) -> None:
+        """Undo the ``begin_step`` calls since ``saved = snapshot()``."""
+        self.t = saved
 
     def current_eta(self) -> GaussianNatural:
         return self.family.etas[self.t]
@@ -387,9 +413,10 @@ def block_weights(cloud_prev: ParticleCloud, kernel: KernelBatch, config: Engine
     log q_{t-1|t}(xi_new_i, xi_prev_j) - log q_{t-1}(xi_prev_j); when
     clipping is enabled the clamped potential replaces the kernel ratio
     (they differ by a row constant when no clamp binds).  The block's
-    cross is built here, into ``out`` if given, and ``compute_weights``
-    normalises it in place.  ``stats_prev`` holds ``suff_stat_rows`` of
-    the previous particles.  Shape (n_rows, N_prev).
+    cross is built here, into ``out`` if given, log q_{t-1} inside its
+    product, and ``compute_weights`` normalises it in place.
+    ``stats_prev`` holds ``suff_stat_rows`` of the previous particles.
+    Shape (n_rows, N_prev).
     """
     if config.clip_enabled:
         cross = gaussian.inner_cross(kernel.pot_eta1[rows], kernel.pot_eta2[rows],
@@ -397,8 +424,8 @@ def block_weights(cloud_prev: ParticleCloud, kernel: KernelBatch, config: Engine
         np.clip(cross, config.log_eps_minus, config.log_eps_plus, out=cross)
     else:
         cross = gaussian.log_density_cross(kernel.eta1[rows], kernel.eta2[rows],
-                                           cloud_prev.xi, stats=stats_prev, out=out)
-        cross -= cloud_prev.log_q_marginal
+                                           cloud_prev.xi, stats=stats_prev, out=out,
+                                           minus=cloud_prev.log_q_marginal)
     return compute_weights(cross, rows.start).w
 
 
@@ -411,10 +438,12 @@ def compute_weights(log_unnorm: np.ndarray, first_row: int = 0) -> WeightMatrix:
     return WeightMatrix(w=_normalize_rows(log_unnorm, first_row))
 
 
-def weight_matrix(cloud_prev: ParticleCloud, kernel: KernelBatch,
-                  config: EngineConfig) -> WeightMatrix:
-    """All N_new x N_prev weights, written block by block into one array."""
-    stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
+def weight_matrix(cloud_prev: ParticleCloud, kernel: KernelBatch, config: EngineConfig,
+                  stats_prev: np.ndarray | None = None) -> WeightMatrix:
+    """All N_new x N_prev weights, written block by block into one array;
+    ``stats_prev`` as in ``block_weights``, built here if not given."""
+    if stats_prev is None:
+        stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
     w = np.empty((kernel.eta1.shape[0], cloud_prev.n))
     for rows in row_blocks(*w.shape):
         block_weights(cloud_prev, kernel, config, rows, stats_prev, out=w[rows])
@@ -429,7 +458,9 @@ def _normalize_rows(log_unnorm: np.ndarray, first_row: int = 0) -> np.ndarray:
         raise DegenerateRow(f"weight row {bad} has no finite mass")
     log_unnorm -= row_max[:, None]
     w = np.exp(log_unnorm, out=log_unnorm)
-    w /= w.sum(axis=1, keepdims=True)
+    # a product with the reciprocal: half the time of a division on the
+    # full route's blocks, and within an ulp of it
+    w *= 1.0 / w.sum(axis=1, keepdims=True)
     return w
 
 
@@ -508,22 +539,26 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
 
     The helper thread (see the module docstring) takes, in this order,
     the theta rows, which read only the previous cloud, and then each
-    block's g product, from one of two slots that alternate by block.
-    Block 0's g product is submitted before ``pair_terms`` is built, and
-    ``_finish_update``, shared with the sampled route, does everything
-    that reads no g before it waits for the last products.  Every task
-    has finished when the update returns or raises.  The previous-particle
-    rows are built once per step.  Within a block the bracket runs over
-    chunks of ``CHUNK_BYTES`` (``row_chunks``).  The block arrays (the
-    weights and the helper's two slots), the bracket chunk, the moments,
-    the theta rows and sums and the potential head's phi rows are the
-    runner's work arrays, reused across steps; only h, g and f are new.
+    block's g product, from one of ``G_SLOTS`` slots taken in turn by
+    block.  Where the main thread would wait for the oldest product, before
+    its slot is reused and at the drain, it first runs the newest product
+    itself if the helper has not started it.  Block 0's g product is
+    submitted before ``pair_terms`` is built, and ``_finish_update``,
+    shared with the sampled route, does everything that reads no g before
+    the drain.  On an error, products not started are cancelled and the
+    rest awaited.  The previous-particle rows are built once per step.
+    Within a block the bracket runs over chunks of ``CHUNK_BYTES``
+    (``row_chunks``).  The block arrays (the weights and the g product's
+    slots), the bracket chunk, the moments, the theta rows and sums and
+    the potential head's phi rows are the runner's work arrays, reused
+    across steps; only h, g and f are new.
     """
     n_new = xi_new.shape[0]
     n_prev = cloud_prev.n
     work = runner.work
     blocks = row_blocks(n_new, n_prev)
     block_shape = (blocks[0].stop, n_prev)
+    n_slots = min(G_SLOTS, len(blocks))
     stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
     moments = work.get("moments", (n_new, stats_prev.shape[1]))   # (N_new, d + d*d + 1)
     crosses = [work.get("cross", block_shape)]
@@ -531,7 +566,7 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
     h_new = np.empty(n_new)
     g_new = theta_task = theta_rows = theta_sums = left = None
     casts = []
-    pending = []   # the helper's g products in flight, oldest first
+    pending = []   # (block, future, left operand) of the g products not awaited, oldest first
     try:
         if cloud_prev.f_stat is not None:
             theta_rows = work.get("theta_rows", (n_prev, models.pair_rows_dim(model)))
@@ -542,25 +577,35 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
         if cloud_prev.g_stat is not None:
             g_prev = cloud_prev.g_stat
             g_new = np.empty((n_new, g_prev.shape[1]), dtype=g_prev.dtype)
-            # the helper reads one block's slot while the main thread fills the next
             if g_prev.dtype == np.float64:
-                crosses.append(work.get("cross1", block_shape))
+                crosses += [work.get(f"cross{s}", block_shape) for s in range(1, n_slots)]
             else:
-                casts = [work.get(f"w_g{k}", block_shape, g_prev.dtype) for k in (0, 1)]
+                casts = [work.get(f"w_g{s}", block_shape, g_prev.dtype) for s in range(n_slots)]
+
+        def wait_oldest():
+            """Wait for the oldest product; while it runs, first run the newest
+            in line if the helper has not started it."""
+            if not pending[0][1].done():
+                k, task, w_g = pending[-1]
+                if task.cancel():
+                    pending.pop()
+                    np.matmul(w_g, g_prev, out=g_new[blocks[k]])
+            if pending:
+                pending.pop(0)[1].result()
 
         for k, rows in enumerate(blocks):
             size = rows.stop - rows.start
-            if len(pending) == 2:
-                pending.pop(0).result()   # frees the slot of block k - 2
+            if pending and pending[0][0] == k - n_slots:
+                wait_oldest()   # frees the slot of block k - n_slots
             w = block_weights(cloud_prev, kernel, config, rows, stats_prev,
                               out=crosses[k % len(crosses)][:size])
             if g_new is not None:
                 w_g = w
                 if casts:
-                    w_g = casts[k % 2][:size]
+                    w_g = casts[k % n_slots][:size]
                     w_g[...] = w
-                pending.append(_helper_thread().submit(np.matmul, w_g, g_prev,
-                                                       out=g_new[rows]))
+                pending.append((k, _helper_thread().submit(np.matmul, w_g, g_prev,
+                                                           out=g_new[rows]), w_g))
             if left is None:
                 left, right = pair_terms(model, cloud_prev, xi_new, y_t, kernel, stats_prev)
             left_block, block = left[rows], moments[rows]
@@ -574,14 +619,15 @@ def update_statistics(cloud_prev: ParticleCloud, xi_new: np.ndarray, model, runn
                 np.matmul(w, theta_rows, out=theta_sums[rows])
 
         def drain():
-            for product in pending:
-                product.result()
+            while pending:
+                wait_oldest()
 
         return _finish_update(cloud_prev, model, runner, y_t, xi_new, log_q_new, kernel,
                               h_new, moments, g_new, theta_sums, g_ready=drain)
     finally:
-        for task in [theta_task, *pending]:
-            if task is not None:
+        # newest first, so that what the helper has not started is cancelled
+        for task in reversed([theta_task] + [task for _, task, _ in pending]):
+            if task is not None and not task.cancel():
                 task.exception()   # waits; the error in flight is the one raised
 
 
@@ -681,8 +727,8 @@ def _potential_bound(pot_eta1: np.ndarray, pot_eta2: np.ndarray, xs_prev: np.nda
 
 
 def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
-                        config: EngineConfig, m_draws: int,
-                        rng: np.random.Generator) -> np.ndarray:
+                        config: EngineConfig, m_draws: int, rng: np.random.Generator,
+                        stats_prev: np.ndarray | None = None) -> np.ndarray:
     """Index draws by accept-reject against a per-row bound, with an exact fallback.
 
     Row i's target is its clamped potential over the previous particles,
@@ -713,7 +759,8 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
 
     Expected cost is O(N M) proposals when the bound is tight; a draw
     that falls back costs N proposals plus one exact row.  It needs
-    clipping, which ``EngineConfig`` checks.
+    clipping, which ``EngineConfig`` checks.  ``stats_prev`` is
+    ``suff_stat_rows`` of the previous particles when the caller has it.
     """
     eps_lo, eps_hi = config.log_eps_minus, config.log_eps_plus
     xs = cloud_prev.xi
@@ -721,7 +768,9 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
     n_new = kernel.pot_eta1.shape[0]
     bound = _potential_bound(kernel.pot_eta1, kernel.pot_eta2, xs, eps_lo, eps_hi)
     coef = np.concatenate([kernel.pot_eta1, kernel.pot_eta2.reshape(n_new, d * d)], axis=1)
-    feats = gaussian.suff_stat_rows(xs)[:, :-1]      # [x, vec xx']
+    if stats_prev is None:
+        stats_prev = gaussian.suff_stat_rows(xs)
+    feats = stats_prev[:, :-1]      # [x, vec xx']
     idx = np.full((n_new, m_draws), -1, dtype=np.int64)
     rows, cols = np.nonzero(idx < 0)
     used, k = 0, 1
@@ -741,7 +790,8 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
     if rows.size:
         fb_rows, pos = np.unique(rows, return_inverse=True)
         log_pot = np.clip(gaussian.inner_cross(kernel.pot_eta1[fb_rows],
-                                               kernel.pot_eta2[fb_rows], xs), eps_lo, eps_hi)
+                                               kernel.pot_eta2[fb_rows], xs, stats=stats_prev),
+                          eps_lo, eps_hi)
         fallback = _categorical_rows(_normalize_rows(log_pot), m_draws, rng)
         idx[rows, cols] = fallback[pos, cols]
     return idx
@@ -762,12 +812,12 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray,
     into the new g, chunk by chunk, in the tail's pass (``_finish_update``).
     """
     m_draws = config.m_backward
-    if config.method == "accept_reject":
-        idx = _accept_reject_rows(cloud_prev, kernel, config, m_draws, rng)
-    else:
-        idx = _categorical_rows(weight_matrix(cloud_prev, kernel, config).w, m_draws, rng)
-
     stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
+    if config.method == "accept_reject":
+        idx = _accept_reject_rows(cloud_prev, kernel, config, m_draws, rng, stats_prev)
+    else:
+        idx = _categorical_rows(weight_matrix(cloud_prev, kernel, config, stats_prev).w,
+                                m_draws, rng)
     left, right = pair_terms(model, cloud_prev, xi_new, y_t, kernel, stats_prev)
     bracket = np.einsum("nk,nmk->nm", left, right[idx])
     h_new = bracket.mean(axis=1)
@@ -874,18 +924,27 @@ def init_state(model, runner, y0: np.ndarray, config: EngineConfig,
 
 def step(state: EngineState, y_t: np.ndarray, model, config: EngineConfig,
          rng: np.random.Generator) -> tuple[EngineState, EstimatorOutput]:
-    """Advance one observation: sample, weight, update, estimate."""
+    """Advance one observation: sample, weight, update, estimate.
+
+    A step that raises leaves the runner as it found it, so the next step
+    re-runs the window from the same history; ``state`` is never written.
+    """
     runner = state.runner
-    runner.begin_step(y_t)
-    eta_t = runner.current_eta()
-    xi_new = gaussian.sample(eta_t, rng, config.n_particles)
-    log_q_new = gaussian.log_density_cross(eta_t.eta1[None], eta_t.eta2[None], xi_new)[0]
-    kernel = build_kernel(runner, xi_new)
-    if config.method == "full":
-        cloud_new = update_statistics(state.cloud, xi_new, model, runner, y_t, kernel,
-                                      log_q_new, config)
-    else:
-        cloud_new = backward_sample_update(state.cloud, xi_new, rng, model, runner, y_t,
-                                           kernel, log_q_new, config)
-    out = estimate(cloud_new, use_control_variates=config.cv_grad_phi)
+    saved = runner.snapshot()
+    try:
+        runner.begin_step(y_t)
+        eta_t = runner.current_eta()
+        xi_new = gaussian.sample(eta_t, rng, config.n_particles)
+        log_q_new = gaussian.log_density_cross(eta_t.eta1[None], eta_t.eta2[None], xi_new)[0]
+        kernel = build_kernel(runner, xi_new)
+        if config.method == "full":
+            cloud_new = update_statistics(state.cloud, xi_new, model, runner, y_t, kernel,
+                                          log_q_new, config)
+        else:
+            cloud_new = backward_sample_update(state.cloud, xi_new, rng, model, runner, y_t,
+                                               kernel, log_q_new, config)
+        out = estimate(cloud_new, use_control_variates=config.cv_grad_phi)
+    except BaseException:
+        runner.restore(saved)
+        raise
     return EngineState(cloud=cloud_new, runner=runner), out

@@ -154,30 +154,40 @@ def suff_stat_rows(xs: np.ndarray) -> np.ndarray:
 def inner_cross(eta1: np.ndarray, eta2: np.ndarray, xs: np.ndarray,
                 offset: np.ndarray | float = 0.0,
                 stats: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """<eta[i], T(xs[j])> + offset[i] for every (i, j) pair; shape (n, m).
+                out: np.ndarray | None = None,
+                minus: np.ndarray | None = None) -> np.ndarray:
+    """<eta[i], T(xs[j])> + offset[i] - minus[j] for every (i, j) pair; shape (n, m).
 
-    eta1: (n, d), eta2: (n, d, d), xs: (m, d); one (n, d+d*d+1) @ (d+d*d+1, m)
-    product, written into ``out`` if given.  ``stats`` is
-    ``suff_stat_rows(xs)`` when the caller has it.
+    eta1: (n, d), eta2: (n, d, d), xs: (m, d); one (n, K) @ (K, m) product,
+    K = d+d*d+1, written into ``out`` if given.  ``stats`` is
+    ``suff_stat_rows(xs)`` when the caller has it.  ``minus`` (m,), if
+    given, is one more column of the statistics, met by a coefficient of
+    -1, so it costs no pass over the (n, m) result.
     """
     n, d = eta1.shape
-    coef = np.empty((n, d + d * d + 1))
+    k = d + d * d
+    stats = suff_stat_rows(xs) if stats is None else stats
+    if minus is not None:
+        stats = np.concatenate([stats, minus[:, None]], axis=1)
+    coef = np.empty((n, stats.shape[1]))
     coef[:, :d] = eta1
-    coef[:, d:-1] = eta2.reshape(n, d * d)
-    coef[:, -1] = offset
-    return np.matmul(coef, (suff_stat_rows(xs) if stats is None else stats).T, out=out)
+    coef[:, d:k] = eta2.reshape(n, d * d)
+    coef[:, k] = offset
+    coef[:, k + 1:] = -1.0
+    return np.matmul(coef, stats.T, out=out)
 
 
 def log_density_cross(eta1: np.ndarray, eta2: np.ndarray, xs: np.ndarray,
                       stats: np.ndarray | None = None,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """log N(xs[j]; eta[i]) for every (i, j) pair; shape (n, m).
+                      out: np.ndarray | None = None,
+                      minus: np.ndarray | None = None) -> np.ndarray:
+    """log N(xs[j]; eta[i]) - minus[j] for every (i, j) pair; shape (n, m).
 
     eta1: (n, d), eta2: (n, d, d), xs: (m, d).  The log-partition enters as
-    the offset of ``inner_cross``, which ``stats`` and ``out`` are passed on to.
+    the offset of ``inner_cross``, which ``stats``, ``out`` and ``minus``
+    (zero if not given) are passed on to.
     """
-    return inner_cross(eta1, eta2, xs, -log_partition_batch(eta1, eta2), stats, out)
+    return inner_cross(eta1, eta2, xs, -log_partition_batch(eta1, eta2), stats, out, minus)
 
 
 def mean_params_batch(eta1: np.ndarray, eta2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

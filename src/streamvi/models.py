@@ -70,6 +70,12 @@ def _student_t_logpdf(z: np.ndarray, dof: float, scale: float) -> np.ndarray:
     return const - 0.5 * (dof + 1.0) * np.log1p((z / scale) ** 2 / dof)
 
 
+def _set_layout(model, named_shapes) -> None:
+    # a frozen model's parameter shapes are fixed, so ``theta_layout``
+    # returns the one layout built at construction
+    object.__setattr__(model, "_layout", ParamLayout.build(named_shapes))
+
+
 # ---------------------------------------------------------------------------
 # Model classes
 # ---------------------------------------------------------------------------
@@ -91,6 +97,7 @@ class LinearGaussianSSM:
             raise ValueError("noise variances must be positive")
         if self.mu0 is None:
             object.__setattr__(self, "mu0", np.zeros(self.F.shape[0]))
+        _set_layout(self, [("F", self.F.shape), ("G", self.G.shape)])
 
     @property
     def d_x(self) -> int:
@@ -114,7 +121,7 @@ class LinearGaussianSSM:
         return self.G @ x + math.sqrt(self.r_var) * rng.standard_normal(self.d_y)
 
     def theta_layout(self) -> ParamLayout:
-        return ParamLayout.build([("F", self.F.shape), ("G", self.G.shape)])
+        return self._layout
 
     def theta_arrays(self) -> dict:
         return {"F": self.F, "G": self.G}
@@ -170,6 +177,7 @@ class ChaoticRNNModel:
                 raise ValueError(f"{name} must be positive")
         if self.W.shape[0] != self.W.shape[1]:
             raise ValueError("W must be square")
+        _set_layout(self, [("rho", ()), ("gamma", ())])
 
     @property
     def d_x(self) -> int:
@@ -203,7 +211,7 @@ class ChaoticRNNModel:
         return x + self.t_scale * _student_t(rng, self.t_dof, self.d_y)
 
     def theta_layout(self) -> ParamLayout:
-        return ParamLayout.build([("rho", ()), ("gamma", ())])
+        return self._layout
 
     def theta_arrays(self) -> dict:
         return {"rho": np.array(self.rho), "gamma": np.array(self.gamma)}
@@ -255,6 +263,8 @@ class ResidualNonlinearSSM:
     def __post_init__(self):
         if np.any(self.q_diag <= 0) or np.any(self.r_diag <= 0):
             raise ValueError("diagonal noise entries must be positive")
+        nets = [("f_net", (self.f_net.n_params,)), ("g_net", (self.g_net.n_params,))]
+        _set_layout(self, nets + [("log_q_diag", (self.d_x,)), ("log_r_diag", (self.d_y,))])
 
     @property
     def d_x(self) -> int:
@@ -279,8 +289,7 @@ class ResidualNonlinearSSM:
         return mlp.forward(self.g_net, x) + np.sqrt(self.r_diag) * rng.standard_normal(self.d_y)
 
     def theta_layout(self) -> ParamLayout:
-        nets = [("f_net", (self.f_net.n_params,)), ("g_net", (self.g_net.n_params,))]
-        return ParamLayout.build(nets + [("log_q_diag", (self.d_x,)), ("log_r_diag", (self.d_y,))])
+        return self._layout
 
     def theta_arrays(self) -> dict:
         return {"f_net": self.f_net.pack(), "g_net": self.g_net.pack(),

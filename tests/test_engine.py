@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -7,7 +8,8 @@ from scipy import stats as sstats
 
 import reference
 from streamvi import engine, gaussian, gradients, models, oracle, variational as var
-from streamvi.errors import BadBounds, ConflictingSetting, DegenerateRow, MissingBound
+from streamvi.errors import (BadBounds, ConflictingSetting, DegenerateRow, MissingBound,
+                             NonFiniteStatistic)
 
 
 def make_lgssm(rng, d=1):
@@ -500,3 +502,54 @@ class TestRunnerWindow:
             engine.EngineConfig(truncation_window=window)
         assert engine.AmortizedRunner(params, window=np.int64(0)).window == 0
         assert engine.EngineConfig(truncation_window=np.int64(0)).truncation_window == 0
+
+
+def runner_state(runner):
+    """The values that ``begin_step`` advances."""
+    if isinstance(runner, engine.ConjugateRunner):
+        return [runner.t]
+    chains = [getattr(c, name) for c in (runner.chain_cur, runner.chain_prev)
+              for name in ("raw", "eta1", "eta2", "jac", "nat_jac")]
+    return [runner.a_live, len(runner.hist), *[v for pair in runner.hist for v in pair],
+            *chains]
+
+
+class TestFailedStep:
+    @pytest.mark.parametrize("kind", ["amortized", "conjugate"])
+    @pytest.mark.parametrize("method", ["full", "categorical", "accept_reject"])
+    def test_failed_step_leaves_the_runner_unchanged(self, method, kind, monkeypatch):
+        # the update raises after begin_step advanced the runner; the runner
+        # must be back where it was, so the next clean step equals the step
+        # of a copy that never failed
+        rng = np.random.default_rng(34)
+        m = make_lgssm(rng, d=2)
+        _, ys = models.simulate(m, 4, rng)
+        if kind == "amortized":
+            runner = make_runner(rng, 2, 2)
+        else:
+            runner = engine.ConjugateRunner(
+                var.exact_conjugate_mode(m, oracle.kalman_filter(m, ys)))
+        cfg = engine.EngineConfig(n_particles=7, method=method,
+                                  clip_enabled=method == "accept_reject")
+        state = engine.init_state(m, runner, ys[0], cfg, rng)
+        for y in ys[1:3]:
+            state, _ = engine.step(state, y, m, cfg, rng)
+        before = runner_state(runner)
+        clean = copy.deepcopy((state, rng))
+
+        def failing_update(*args, **kwargs):
+            raise NonFiniteStatistic("planted")
+
+        monkeypatch.setattr(engine, "_finish_update", failing_update)
+        with pytest.raises(NonFiniteStatistic, match="planted"):
+            engine.step(state, ys[3], m, cfg, copy.deepcopy(rng))
+        monkeypatch.undo()
+        after = runner_state(runner)
+        assert len(after) == len(before)
+        for a, b in zip(after, before):
+            np.testing.assert_array_equal(a, b)
+        _, got = engine.step(state, ys[3], m, cfg, rng)
+        _, want = engine.step(clean[0], ys[3], m, cfg, clean[1])
+        assert got.elbo == want.elbo
+        for name in ("grad_phi", "grad_theta"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

@@ -179,6 +179,19 @@ class TestGradTheta:
             assert rep.passed, f"instance {k}: max rel err {rep.max_rel_err:.2e}"
 
 
+def check_emission_rows_by_fd(m, xs, y):
+    """Each row of ``grad_theta_emission_batch`` against central differences
+    of ``log_g_rows`` in the flat theta, over the observed coordinates of y."""
+    valid = ~np.isnan(y)
+    got = models.grad_theta_emission_batch(m, xs, y)
+    for i, x in enumerate(xs):
+        def f(th):
+            return float(models.with_theta(m, th).log_g_rows(x[None], y, valid)[0])
+
+        rep = fd_check(f, models.get_theta(m), got[i], h=1e-6, tol=1e-5)
+        assert rep.passed, f"row {i}: max rel err {rep.max_rel_err:.2e}"
+
+
 class TestBatchedVariants:
     def test_log_m_cross_matches_scalar(self):
         rng = np.random.default_rng(12)
@@ -229,14 +242,14 @@ class TestBatchedVariants:
                 np.testing.assert_allclose(got[i], want, rtol=1e-9, atol=1e-10)
 
     def test_init_batch_matches_loop(self):
+        # with every coordinate observed and with one missing
         rng = np.random.default_rng(15)
         for m in (make_lgssm(rng), make_chaotic(rng), make_residual(rng)):
             xs = rng.standard_normal((4, m.d_x))
             y0 = rng.standard_normal(m.d_y)
-            got = models.grad_theta_emission_batch(m, xs, y0)
-            for i in range(4):
-                want = reference.grad_theta_log_joint_pair(m, None, xs[i], y0, 0)
-                np.testing.assert_allclose(got[i], want, rtol=1e-9, atol=1e-10)
+            check_emission_rows_by_fd(m, xs, y0)
+            y0[rng.integers(0, m.d_y)] = np.nan
+            check_emission_rows_by_fd(m, xs, y0)
 
     # an observation with every coordinate missing goes through the one
     # masking path that all three classes share
@@ -253,11 +266,7 @@ class TestBatchedVariants:
         rng = np.random.default_rng(31)
         m = maker(rng)
         xs = rng.standard_normal((4, m.d_x))
-        y0 = np.full(m.d_y, np.nan)
-        got = models.grad_theta_emission_batch(m, xs, y0)
-        for i in range(4):
-            want = reference.grad_theta_log_joint_pair(m, None, xs[i], y0, 0)
-            np.testing.assert_allclose(got[i], want, rtol=1e-9, atol=1e-10)
+        check_emission_rows_by_fd(m, xs, np.full(m.d_y, np.nan))
 
     @pytest.mark.parametrize("maker", [make_lgssm, make_chaotic, make_residual])
     def test_all_missing_pair_contract_matches_loop(self, maker):

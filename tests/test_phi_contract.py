@@ -164,12 +164,14 @@ def cloud_arrays(cloud):
 
 
 # the runner's work arrays that each route uses, by name.  The full route's
-# g product runs on a helper thread that reads one block while the main
-# thread fills the next, so its left operand has two slots: "w_g0" and
-# "w_g1", the weights cast to float32, or for a float64 g a second cross
-# slot, "cross1".  "phi_pot" holds the potential head's part of the kernel
-# scores' phi rows, which every route adds to the new g; "theta_rows" and
-# "theta_sums" the theta pair rows and their weighted sums
+# g product runs on a helper thread that reads queued blocks while the main
+# thread fills the next, so its left operand has up to three slots, never
+# more than the update has blocks: "w_g0", "w_g1" and "w_g2", the weights
+# cast to float32, or for a float64 g the weights themselves, in "cross",
+# "cross1" and "cross2".  The steps here have one block, so one slot.
+# "phi_pot" holds the potential head's part of the kernel scores' phi rows,
+# which every route adds to the new g; "theta_rows" and "theta_sums" the
+# theta pair rows and their weighted sums
 THETA = {"theta_rows", "theta_sums"}
 WORK_ARRAYS = {"full": {"phi_pot", "cross", "bracket", "moments"} | THETA,
                "categorical": {"phi_pot"} | THETA, "accept_reject": {"phi_pot"} | THETA}
@@ -206,7 +208,7 @@ def check_step_leaves_previous_cloud_unchanged(method, g_dtype):
         np.testing.assert_array_equal(arr, before[name], err_msg=name)
     slots = set()
     if method == "full":
-        slots = {"w_g0", "w_g1"} if g_dtype == "float32" else {"cross1"}
+        slots = {"w_g0"} if g_dtype == "float32" else set()
     assert set(state.runner.work._arrays) == WORK_ARRAYS[method] | slots
     assert_no_work_array(state.runner, [state.cloud, new_state.cloud], [out])
 

@@ -134,28 +134,51 @@ def test_blocked_update_equals_one_block_float32(kind, n_prev, n_new, clip, seed
     check_blocked_update_equals_one_block(pieces, assert_same_f32)
 
 
+def overlapped_update(pieces, rows_per_block):
+    """The new g of the update of ``pieces`` in blocks of ``rows_per_block``,
+    with the kernel scores' contraction left out, and the serial products
+    w[rows] @ g_prev of the blocks, which it equals bit for bit."""
+    model, runner, cloud, xi_new, y, kernel, log_q_new, config = pieces
+    runner.kernel_phi_contract = no_kernel_scores
+    g_prev = cloud.g_stat
+    assert np.abs(g_prev).max() > 0
+    with block_rows(rows_per_block, cloud.n):
+        blocks = engine.row_blocks(xi_new.shape[0], cloud.n)
+        new = engine.update_statistics(cloud, xi_new, model, runner, y, kernel, log_q_new,
+                                       config)
+        w = engine.weight_matrix(cloud, kernel, config).w
+    want = np.concatenate([np.matmul(w[rows].astype(g_prev.dtype), g_prev)
+                           for rows in blocks])
+    assert new.g_stat.dtype == g_prev.dtype
+    return new.g_stat, want, blocks
+
+
 @pytest.mark.parametrize("g_dtype", ["float64", "float32"])
 @pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
 @pytest.mark.parametrize("kind", ["lgssm", "residual"])
 def test_overlapped_g_product_equals_serial_products(kind, clip, g_dtype):
     # blocks of 8, 8 and 7 rows: each block's g rows are the product that the
-    # helper thread ran, the same BLAS call as one made in line, so they are equal
-    # bit for bit once the kernel scores' contraction is left out
-    model, runner, cloud, xi_new, y, kernel, log_q_new, config = update_pieces(
-        kind, 40, 23, clip, seed=11, g_dtype=g_dtype)
-    runner.kernel_phi_contract = no_kernel_scores
-    g_prev = cloud.g_stat
-    assert np.abs(g_prev).max() > 0
-    with block_rows(8, cloud.n):
-        blocks = engine.row_blocks(23, cloud.n)
-        new = engine.update_statistics(cloud, xi_new, model, runner, y, kernel, log_q_new,
-                                       config)
-        w = engine.weight_matrix(cloud, kernel, config).w
+    # helper thread ran, the same BLAS call as one made in line
+    pieces = update_pieces(kind, 40, 23, clip, seed=11, g_dtype=g_dtype)
+    got, want, blocks = overlapped_update(pieces, 8)
     assert [b.stop - b.start for b in blocks] == [8, 8, 7]
-    want = np.concatenate([np.matmul(w[rows].astype(g_prev.dtype), g_prev)
-                           for rows in blocks])
-    assert new.g_stat.dtype == g_prev.dtype
-    np.testing.assert_array_equal(new.g_stat, want)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("g_dtype", ["float64", "float32"])
+@pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
+def test_main_thread_takes_products_the_helper_has_not_started(clip, g_dtype, monkeypatch):
+    # a slow helper and eight blocks of 3 rows: the three slots are reused, and
+    # there and at the drain, while the oldest product runs, the main thread
+    # cancels the newest product, not yet started, and runs the same product
+    # itself, equal bit for bit
+    pieces = update_pieces("lgssm", 40, 23, clip, seed=11, g_dtype=g_dtype)
+    tasks = slow_helper(monkeypatch, 0.01)
+    got, want, blocks = overlapped_update(pieces, 3)
+    products = [task for name, task in tasks if name == "matmul"]
+    assert len(products) == len(blocks) == 8
+    assert any(task.cancelled() for task in products)
+    np.testing.assert_array_equal(got, want)
 
 
 def no_kernel_scores(u1, u2, pot, out):
@@ -182,17 +205,18 @@ def slow_helper(monkeypatch, delay_s):
 
 
 def check_failed_update_leaves_nothing_running(monkeypatch, clip, breakage, error, match,
-                                               n_products):
-    """``update_statistics`` on blocks of 2 of 7 rows, with slow helper tasks
-    and ``breakage(kernel)`` done first, raises ``error``; when it leaves, the
-    theta-rows task and ``n_products`` g products have been submitted and all
-    have finished, and a clean update on the failed update's work arrays
-    equals one on fresh arrays."""
+                                               n_products, rows=2):
+    """``update_statistics`` on blocks of ``rows`` of 7 rows, with slow helper
+    tasks and ``breakage(kernel)`` done first, raises ``error``; when it
+    leaves, the theta-rows task and ``n_products`` g products have been
+    submitted and all have finished or been cancelled, and a clean update on
+    the failed update's work arrays equals one on fresh arrays.  Returns the
+    tasks."""
     model, runner, cloud, xi_new, y, kernel, log_q_new, config = update_pieces(
         "lgssm", 5, 7, clip, seed=3)
     breakage(kernel)
     tasks = slow_helper(monkeypatch, 0.05)
-    with block_rows(2, cloud.n), pytest.raises(error, match=match):
+    with block_rows(rows, cloud.n), pytest.raises(error, match=match):
         engine.update_statistics(cloud, xi_new, model, runner, y, kernel, log_q_new, config)
     assert [name for name, _ in tasks] == ["grad_theta_pair_rows"] + ["matmul"] * n_products
     assert all(task.done() for _, task in tasks)
@@ -203,23 +227,39 @@ def check_failed_update_leaves_nothing_running(monkeypatch, clip, breakage, erro
             "lgssm", 5, 7, clip, seed=3)
         if work is not None:
             runner.work = work
-        with block_rows(2, cloud.n):
+        with block_rows(rows, cloud.n):
             return engine.update_statistics(cloud, xi_new, model, runner, y, kernel,
                                             log_q_new, config)
 
     got, want = clean_update(runner.work), clean_update(None)
     for name in ("h_stat", "g_stat", "f_stat"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    return tasks
+
+
+def break_row_5(clip):
+    def breakage(kernel):
+        (kernel.pot_eta1 if clip else kernel.eta1)[5] = np.nan
+    return breakage
 
 
 @pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
 def test_degenerate_row_in_a_later_block_names_its_row(clip, monkeypatch):
-    # row 5 is in block 2: the error leaves after blocks 0 and 1 submitted their products
-    def breakage(kernel):
-        (kernel.pot_eta1 if clip else kernel.eta1)[5] = np.nan
+    # row 5 is in block 2: the error leaves after blocks 0 and 1 submitted their
+    # products, and cancels block 1's, which waits behind block 0's
+    tasks = check_failed_update_leaves_nothing_running(
+        monkeypatch, clip, break_row_5(clip), DegenerateRow, r"weight row 5 ", n_products=2)
+    assert tasks[-1][1].cancelled()
 
-    check_failed_update_leaves_nothing_running(monkeypatch, clip, breakage, DegenerateRow,
-                                               r"weight row 5 ", n_products=2)
+
+@pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
+def test_degenerate_row_after_taken_products_leaves_nothing_running(clip, monkeypatch):
+    # blocks of 1 row: row 5 is in block 5.  Before it, blocks 3 and 4 each
+    # reused a slot, and the main thread took block 2's and block 3's products
+    tasks = check_failed_update_leaves_nothing_running(
+        monkeypatch, clip, break_row_5(clip), DegenerateRow, r"weight row 5 ", n_products=5,
+        rows=1)
+    assert [task.cancelled() for _, task in tasks][3:5] == [True, True]
 
 
 @pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])

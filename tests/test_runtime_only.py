@@ -39,6 +39,8 @@ ALLOWED = {
     "models.ResidualNonlinearSSM.theta_arrays", "models.ResidualNonlinearSSM.replace_theta",
     "layout.ParamLayout.view", "layout.ParamLayout.views", "layout.ParamLayout.pack",
     "mlp.MLPParams.pack", "mlp.MLPParams.unpack",
+    # run only when a step raises (test_engine.py's TestFailedStep)
+    "engine.AmortizedRunner.restore", "engine.ConjugateRunner.restore",
     # simulation, and what only it calls
     "models.simulate", "models.LinearGaussianSSM.sample_emission",
     "models.ChaoticRNNModel.sample_emission", "models.ResidualNonlinearSSM.sample_emission",
