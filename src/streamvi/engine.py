@@ -17,14 +17,14 @@ The two routes share the statistic update's tail, ``_finish_update``:
   accept-reject against a per-row bound, in doubling rounds of proposals
   with an exact fallback row (``_accept_reject_rows``).
 
-The full route runs over blocks of new-particle rows (``row_blocks``),
-each pairwise quantity one BLAS product of per-particle feature rows; the
-bracket, the tail's one pass over g and the sampled route's gathers run
-over chunks of rows (``row_chunks``).  Only the categorical draws build
-all N x N weights (``weight_matrix``), and no route a second array of
-g's shape.  g is stored and multiplied in ``EngineConfig.g_dtype``,
-float32 by default; h, f, the weights, the bracket, the ELBO, both
-gradients and g's column sums are float64.
+Every array with N_prev columns spans one block of new-particle rows
+(``row_blocks``), on every route, and each pairwise quantity is one BLAS
+product of per-particle feature rows; the bracket, the tail's one pass
+over g and the sampled route's gathers run over chunks of rows
+(``row_chunks``).  No route builds a second array of g's shape.  g is
+stored and multiplied in ``EngineConfig.g_dtype``, float32 by default;
+h, f, the weights, the bracket, the ELBO, both gradients and g's column
+sums are float64.
 
 On the full route one helper thread per process (``_helper_thread``)
 runs the theta pair rows and each block's w @ g_prev beside the main
@@ -51,8 +51,8 @@ from .errors import (BadBounds, ConflictingSetting, DegenerateRow, MissingBound,
                      NonFiniteStatistic)
 from .gaussian import GaussianNatural
 
-# Bytes of one block's (rows, N_prev) float64 array on the full route, and
-# of one round's gathered proposal features on the accept-reject route.  At
+# Bytes of one block's (rows, N_prev) float64 array on every route, and of
+# one round's gathered proposal features on the accept-reject route.  At
 # N=2000 on a 2-core x86 VM with one BLAS thread, 0.5 MiB blocks were
 # slower, 1-8 MiB about as fast as one whole block, and larger blocks only
 # raised peak memory.  A block is also the grain at which the two threads
@@ -435,26 +435,15 @@ def compute_weights(log_unnorm: np.ndarray, first_row: int = 0) -> WeightMatrix:
     A row without finite mass raises ``DegenerateRow`` naming its row of
     the whole update, ``first_row`` plus its index here.
     """
-    return WeightMatrix(w=_normalize_rows(log_unnorm, first_row))
+    return WeightMatrix(w=_normalize_rows(log_unnorm, first_row + np.arange(len(log_unnorm))))
 
 
-def weight_matrix(cloud_prev: ParticleCloud, kernel: KernelBatch, config: EngineConfig,
-                  stats_prev: np.ndarray | None = None) -> WeightMatrix:
-    """All N_new x N_prev weights, written block by block into one array;
-    ``stats_prev`` as in ``block_weights``, built here if not given."""
-    if stats_prev is None:
-        stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
-    w = np.empty((kernel.eta1.shape[0], cloud_prev.n))
-    for rows in row_blocks(*w.shape):
-        block_weights(cloud_prev, kernel, config, rows, stats_prev, out=w[rows])
-    return WeightMatrix(w=w)
-
-
-def _normalize_rows(log_unnorm: np.ndarray, first_row: int = 0) -> np.ndarray:
-    """Row-wise softmax, in place; a row without finite mass raises ``DegenerateRow``."""
+def _normalize_rows(log_unnorm: np.ndarray, row_ids: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, in place; a row i without finite mass raises
+    ``DegenerateRow`` naming ``row_ids[i]``, its row of the whole update."""
     row_max = np.max(log_unnorm, axis=1)
     if not np.all(np.isfinite(row_max)):
-        bad = first_row + int(np.nonzero(~np.isfinite(row_max))[0][0])
+        bad = int(row_ids[int(np.nonzero(~np.isfinite(row_max))[0][0])])
         raise DegenerateRow(f"weight row {bad} has no finite mass")
     log_unnorm -= row_max[:, None]
     w = np.exp(log_unnorm, out=log_unnorm)
@@ -682,19 +671,19 @@ def _finish_update(cloud_prev: ParticleCloud, model, runner, y_t: np.ndarray,
                           g_sum)
 
 
-def _categorical_rows(w: np.ndarray, m_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """``m_draws`` inverse-CDF draws from each row of ``w``.
+def _categorical_rows(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws at the uniforms ``u`` from the same rows of ``w``,
+    one block of normalised weights, overwritten by their cumulative sums.
 
     All draws bisect their row's CDF together: log2(N) vectorized steps,
-    O(N M) extra memory, the same indices as a per-row ``searchsorted``.
+    O(rows M) extra memory, the same indices as a per-row ``searchsorted``.
     """
     n, n_prev = w.shape
-    u = rng.random((n, m_draws))
-    cdf = np.cumsum(w, axis=1)
+    cdf = np.cumsum(w, axis=1, out=w)
     cdf[:, -1] = 1.0
     # invariant: cdf[i, :lo] <= u < cdf[i, hi:]
-    lo = np.zeros((n, m_draws), dtype=np.int64)
-    hi = np.full((n, m_draws), n_prev, dtype=np.int64)
+    lo = np.zeros(u.shape, dtype=np.int64)
+    hi = np.full(u.shape, n_prev, dtype=np.int64)
     rows = np.arange(n)[:, None]
     for _ in range(n_prev.bit_length()):
         mid = (lo + hi) // 2
@@ -728,7 +717,7 @@ def _potential_bound(pot_eta1: np.ndarray, pot_eta2: np.ndarray, xs_prev: np.nda
 
 def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
                         config: EngineConfig, m_draws: int, rng: np.random.Generator,
-                        stats_prev: np.ndarray | None = None) -> np.ndarray:
+                        stats_prev: np.ndarray) -> np.ndarray:
     """Index draws by accept-reject against a per-row bound, with an exact fallback.
 
     Row i's target is its clamped potential over the previous particles,
@@ -736,10 +725,10 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
     index j, accepted with probability exp(pot_ij - B_i), B_i from
     ``_potential_bound``; a draw's index is its first accepted proposal.
     A draw still pending after N proposals, what one exact row costs, is
-    drawn from its row's categorical over the same clamped potential.
-    Given that it reached the fallback, a draw is independent of its
-    rejected proposals, so the hybrid stays an exact sampler (Dau &
-    Chopin, 2023).
+    drawn from its row's categorical over the same clamped potential, one
+    ``row_blocks`` block of such rows at a time.  Given that it reached the
+    fallback, a draw is independent of its rejected proposals, so the
+    hybrid stays an exact sampler (Dau & Chopin, 2023).
 
     The proposals come in rounds.  Each round gives every pending draw a
     block of k proposals and takes the first acceptance in each block; k
@@ -759,8 +748,8 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
 
     Expected cost is O(N M) proposals when the bound is tight; a draw
     that falls back costs N proposals plus one exact row.  It needs
-    clipping, which ``EngineConfig`` checks.  ``stats_prev`` is
-    ``suff_stat_rows`` of the previous particles when the caller has it.
+    clipping, which ``EngineConfig`` checks.  ``stats_prev`` holds
+    ``suff_stat_rows`` of the previous particles.
     """
     eps_lo, eps_hi = config.log_eps_minus, config.log_eps_plus
     xs = cloud_prev.xi
@@ -768,8 +757,6 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
     n_new = kernel.pot_eta1.shape[0]
     bound = _potential_bound(kernel.pot_eta1, kernel.pot_eta2, xs, eps_lo, eps_hi)
     coef = np.concatenate([kernel.pot_eta1, kernel.pot_eta2.reshape(n_new, d * d)], axis=1)
-    if stats_prev is None:
-        stats_prev = gaussian.suff_stat_rows(xs)
     feats = stats_prev[:, :-1]      # [x, vec xx']
     idx = np.full((n_new, m_draws), -1, dtype=np.int64)
     rows, cols = np.nonzero(idx < 0)
@@ -789,10 +776,16 @@ def _accept_reject_rows(cloud_prev: ParticleCloud, kernel: KernelBatch,
         k *= 2
     if rows.size:
         fb_rows, pos = np.unique(rows, return_inverse=True)
-        log_pot = np.clip(gaussian.inner_cross(kernel.pot_eta1[fb_rows],
-                                               kernel.pot_eta2[fb_rows], xs, stats=stats_prev),
-                          eps_lo, eps_hi)
-        fallback = _categorical_rows(_normalize_rows(log_pot), m_draws, rng)
+        u = rng.random((fb_rows.size, m_draws))
+        fallback = np.empty(u.shape, dtype=np.int64)
+        blocks = row_blocks(fb_rows.size, n_prev)
+        block = np.empty((blocks[0].stop, n_prev))
+        for b in blocks:
+            fb = fb_rows[b]
+            log_pot = gaussian.inner_cross(kernel.pot_eta1[fb], kernel.pot_eta2[fb], xs,
+                                           stats=stats_prev, out=block[:b.stop - b.start])
+            np.clip(log_pot, eps_lo, eps_hi, out=log_pot)
+            fallback[b] = _categorical_rows(_normalize_rows(log_pot, fb), u[b])
         idx[rows, cols] = fallback[pos, cols]
     return idx
 
@@ -805,24 +798,30 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray,
 
     M is ``config.m_backward``.  The draws are by accept-reject when
     ``config.method`` is "accept_reject", else from the categorical rows
-    of the weights.  The bracket of ``pair_terms``' rows, the moments, the
-    carried g and the theta rows are averaged over each row's draws; the
-    g-bracket is centered by the new h.  The theta rows and their means
-    go into the runner's work arrays; the carried g is gathered straight
-    into the new g, chunk by chunk, in the tail's pass (``_finish_update``).
+    of the weights, one ``row_blocks`` block at a time in the "cross" work
+    array.  The bracket of ``pair_terms``' rows, the moments, the carried g
+    and the theta rows are averaged over each row's draws; the g-bracket
+    is centered by the new h.  The theta rows and their means are work
+    arrays; the tail's pass (``_finish_update``) gathers the carried g.
     """
     m_draws = config.m_backward
+    n_new, n_prev = xi_new.shape[0], cloud_prev.n
     stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
     if config.method == "accept_reject":
         idx = _accept_reject_rows(cloud_prev, kernel, config, m_draws, rng, stats_prev)
     else:
-        idx = _categorical_rows(weight_matrix(cloud_prev, kernel, config, stats_prev).w,
-                                m_draws, rng)
+        u = rng.random((n_new, m_draws))
+        idx = np.empty(u.shape, dtype=np.int64)
+        blocks = row_blocks(n_new, n_prev)
+        cross = runner.work.get("cross", (blocks[0].stop, n_prev))
+        for rows in blocks:
+            w = block_weights(cloud_prev, kernel, config, rows, stats_prev,
+                              out=cross[:rows.stop - rows.start])
+            idx[rows] = _categorical_rows(w, u[rows])
     left, right = pair_terms(model, cloud_prev, xi_new, y_t, kernel, stats_prev)
     bracket = np.einsum("nk,nmk->nm", left, right[idx])
     h_new = bracket.mean(axis=1)
     moments = g_new = theta_sums = None
-    n_new = xi_new.shape[0]
     if cloud_prev.g_stat is not None:
         moments = np.einsum("nm,nmk->nk", (bracket - h_new[:, None]) / m_draws,
                             stats_prev[idx])
@@ -832,7 +831,7 @@ def backward_sample_update(cloud_prev: ParticleCloud, xi_new: np.ndarray,
         work = runner.work
         theta_rows = models.grad_theta_pair_rows(
             model, cloud_prev.xi, cloud_prev.f_stat,
-            out=work.get("theta_rows", (cloud_prev.n, models.pair_rows_dim(model))))
+            out=work.get("theta_rows", (n_prev, models.pair_rows_dim(model))))
         theta_sums = _gather_mean(theta_rows, idx,
                                   out=work.get("theta_sums", (n_new, theta_rows.shape[1])))
     return _finish_update(cloud_prev, model, runner, y_t, xi_new, log_q_new, kernel, h_new,

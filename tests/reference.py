@@ -25,6 +25,11 @@
   brute force for tiny problems.
 - ``kernel_phi_rows``, the kernel scores' phi rows of a step as one new
   float64 array, for the direct forms of the statistic updates.
+- ``weight_matrix``, all N_new x N_prev weights of an update in one array,
+  and ``categorical_draws``, the inverse-CDF draws from its rows one row
+  at a time: the dense forms of the engine's row-blocked draws.
+- ``grad_theta_fd``, the theta-gradient of an array-valued function of
+  the model by central differences.
 - ``fd_check``, the independent central-difference verifier.
 """
 
@@ -35,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from streamvi import gaussian, models, oracle, variational as var
-from streamvi.engine import ParticleCloud
+from streamvi import engine, gaussian, models, oracle, variational as var
+from streamvi.engine import EngineConfig, KernelBatch, ParticleCloud, WeightMatrix
 from streamvi.errors import (DimensionMismatch, NonFiniteStatistic, NotNegativeDefinite, NotSPD,
                              StreamviError)
 from streamvi.gaussian import LOG_2PI, GaussianMoments, GaussianNatural, to_moments
@@ -641,6 +646,42 @@ def kernel_phi_rows(runner, u1: np.ndarray, u2: np.ndarray, pot_raw: np.ndarray,
     pot = runner.potential_phi_rows(u1, u2, pot_raw, pot_acts,
                                     out=np.empty((n, cols.stop - cols.start)))
     return runner.kernel_phi_contract(u1, u2, pot, out=np.zeros((n, runner.dim_phi)))
+
+
+def weight_matrix(cloud_prev: ParticleCloud, kernel: KernelBatch, config: EngineConfig,
+                  stats_prev: np.ndarray | None = None) -> WeightMatrix:
+    """All N_new x N_prev weights, written block by block into one array;
+    ``stats_prev`` as in ``block_weights``, built here if not given."""
+    if stats_prev is None:
+        stats_prev = gaussian.suff_stat_rows(cloud_prev.xi)
+    w = np.empty((kernel.eta1.shape[0], cloud_prev.n))
+    for rows in engine.row_blocks(*w.shape):
+        engine.block_weights(cloud_prev, kernel, config, rows, stats_prev, out=w[rows])
+    return WeightMatrix(w=w)
+
+
+def categorical_draws(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from the rows of ``w`` at the uniforms in the same
+    rows of ``u``: cumsum and searchsorted row by row."""
+    idx = np.empty(u.shape, dtype=np.int64)
+    for i in range(w.shape[0]):
+        cdf = np.cumsum(w[i])
+        cdf[-1] = 1.0
+        idx[i] = np.searchsorted(cdf, u[i], side="right")
+    return np.minimum(idx, w.shape[1] - 1)
+
+
+def grad_theta_fd(f, model, h: float = 1e-6) -> np.ndarray:
+    """Central differences in the flat theta of ``f(model)``, an array of
+    any shape; the gradient's axis comes last."""
+    theta0 = models.get_theta(model)
+    cols = []
+    for k in range(theta0.size):
+        step = np.zeros_like(theta0)
+        step[k] = h
+        cols.append((np.asarray(f(models.with_theta(model, theta0 + step)))
+                     - np.asarray(f(models.with_theta(model, theta0 - step)))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 def fd_check(f, x0: np.ndarray, analytic: np.ndarray, h: float = 1e-6,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
+import reference
 from streamvi import engine, gaussian
 from streamvi.gaussian import GaussianNatural
 
@@ -29,6 +30,18 @@ class CountingGenerator(np.random.Generator):
         self.drawn += 1 if size is None else int(np.prod(size))
         self.calls += 1
         return super().integers(low, high, size=size, **kwargs)
+
+
+class RecordingGenerator(CountingGenerator):
+    """Also notes the generator's state before each call of ``random``."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.states = []
+
+    def random(self, *args, **kwargs):
+        self.states.append(self.bit_generator.state)
+        return super().random(*args, **kwargs)
 
 
 class FixedPotentialRunner:
@@ -101,20 +114,9 @@ def chi_square_pvalues(idx, w):
 
 def spread_draws(cfg, cloud, kernel, rng, calls=8, m_draws=1500):
     """``calls`` sampler calls of ``m_draws`` draws per row, side by side."""
-    return np.concatenate([engine._accept_reject_rows(cloud, kernel, cfg, m_draws, rng)
+    stats = gaussian.suff_stat_rows(cloud.xi)
+    return np.concatenate([engine._accept_reject_rows(cloud, kernel, cfg, m_draws, rng, stats)
                            for _ in range(calls)], axis=1)
-
-
-def loop_categorical_rows(w, m_draws, rng):
-    """The per-row reference: cumsum and searchsorted row by row."""
-    n = w.shape[0]
-    idx = np.empty((n, m_draws), dtype=np.int64)
-    u = rng.random((n, m_draws))
-    for i in range(n):
-        cdf = np.cumsum(w[i])
-        cdf[-1] = 1.0
-        idx[i] = np.searchsorted(cdf, u[i], side="right")
-    return np.minimum(idx, w.shape[1] - 1)
 
 
 class TestCategoricalRows:
@@ -127,8 +129,9 @@ class TestCategoricalRows:
             log_w[:, 1] = -np.inf       # a zero-weight column
         w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
-        want = loop_categorical_rows(w, m_draws, np.random.default_rng(7))
-        got = engine._categorical_rows(w, m_draws, np.random.default_rng(7))
+        u = np.random.default_rng(7).random((n_new, m_draws))
+        want = reference.categorical_draws(w, u)
+        got = engine._categorical_rows(w.copy(), u)
         np.testing.assert_array_equal(got, want)
 
 
@@ -177,20 +180,44 @@ class TestAcceptRejectRows:
         pot = np.clip(gaussian.inner_cross(kernel.pot_eta1, kernel.pot_eta2, cloud.xi),
                       cfg.log_eps_minus, cfg.log_eps_plus)
         assert np.any(pot == cfg.log_eps_minus)   # the clamp binds
-        wmat = engine.weight_matrix(cloud, kernel, cfg)
+        wmat = reference.weight_matrix(cloud, kernel, cfg)
         draws = 20000
         rng = CountingGenerator(3)
-        idx = engine._accept_reject_rows(cloud, kernel, cfg, draws, rng)
+        idx = engine._accept_reject_rows(cloud, kernel, cfg, draws, rng,
+                                         gaussian.suff_stat_rows(cloud.xi))
         # every draw used its N proposals, then the fallback
         assert rng.drawn == cloud.n * len(kernel.pot_eta1) * draws
         assert np.all(chi_square_pvalues(idx, wmat.w) > 0.01)
+
+    def test_blocked_fallback_equals_per_row_loop(self, monkeypatch):
+        # every draw falls back, and the 16 fallback rows come in 6 blocks of
+        # at most 3: the draws are those of the dense clamped rows (the lower
+        # clamp binds, as in the test above) at the fallback's uniforms, the
+        # last ones drawn, and the generator ends where one draw of all of
+        # them leaves it
+        cfg, cloud, kernel = hard_kernel(64, slopes=np.linspace(16.0, 40.0, 16),
+                                         log_eps_minus=-1.5)
+        n_new, m_draws = len(kernel.pot_eta1), 3
+        monkeypatch.setattr(engine, "ROW_BLOCK_BYTES", 8 * cloud.n * 3)
+        assert len(engine.row_blocks(n_new, cloud.n)) == 6
+        rng = RecordingGenerator(4)
+        idx = engine._accept_reject_rows(cloud, kernel, cfg, m_draws, rng,
+                                         gaussian.suff_stat_rows(cloud.xi))
+        assert rng.drawn == cloud.n * n_new * m_draws
+        ref = np.random.Generator(np.random.PCG64())
+        ref.bit_generator.state = rng.states[-1]
+        u = ref.random((n_new, m_draws))
+        w = reference.weight_matrix(cloud, kernel, cfg).w
+        np.testing.assert_array_equal(idx, reference.categorical_draws(w, u))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_proposals_capped_at_n_per_draw(self):
         cfg, cloud, kernel = hard_kernel(64, slopes=np.linspace(16.0, 40.0, 16),
                                          log_eps_minus=-30.0)
         m_draws = 3
         rng = CountingGenerator(4)
-        idx = engine._accept_reject_rows(cloud, kernel, cfg, m_draws, rng)
+        idx = engine._accept_reject_rows(cloud, kernel, cfg, m_draws, rng,
+                                         gaussian.suff_stat_rows(cloud.xi))
         # every draw falls back: exactly N proposals each, in doubling blocks
         assert rng.drawn == cloud.n * len(kernel.pot_eta1) * m_draws
         assert rng.calls <= math.ceil(math.log2(cloud.n + 1))
@@ -219,7 +246,7 @@ class TestAcceptRejectRows:
             monkeypatch.setattr(engine, "ROW_BLOCK_BYTES", 2 * 8 * 6 * n_new * m_draws)
         rng = CountingGenerator(5)
         idx = spread_draws(cfg, cloud, kernel, rng, calls, m_draws)
-        assert np.all(chi_square_pvalues(idx, engine.weight_matrix(cloud, kernel, cfg).w)
+        assert np.all(chi_square_pvalues(idx, reference.weight_matrix(cloud, kernel, cfg).w)
                       > 0.01)
         assert rng.drawn <= cloud.n * n_new * m_draws * calls
         rounds = rng.calls / calls
@@ -231,7 +258,7 @@ class TestAcceptRejectRows:
         cfg, cloud, kernel = spread_kernel()
         unclamped = dataclasses.replace(cfg, log_eps_minus=-30.0)
         idx = spread_draws(unclamped, cloud, kernel, np.random.default_rng(5))
-        assert np.all(chi_square_pvalues(idx, engine.weight_matrix(cloud, kernel, cfg).w)
+        assert np.all(chi_square_pvalues(idx, reference.weight_matrix(cloud, kernel, cfg).w)
                       < 0.01)
 
     @settings(max_examples=50, deadline=None)
@@ -250,7 +277,8 @@ class TestAcceptRejectRows:
                                      np.zeros((n_new, 2)))
         m_draws = n_prev + extra
         rng.drawn = 0
-        idx = engine._accept_reject_rows(cloud, kernel, cfg, m_draws, rng)
+        idx = engine._accept_reject_rows(cloud, kernel, cfg, m_draws, rng,
+                                         gaussian.suff_stat_rows(xs))
         assert idx.shape == (n_new, m_draws)
         assert np.all((idx >= 0) & (idx < n_prev))
         assert rng.drawn <= n_prev * n_new * m_draws

@@ -76,20 +76,20 @@ class TestComputeWeights:
     def test_single_particle_row(self):
         rng = np.random.default_rng(5)
         _, _, cfg, cloud, _, kernel = self.setup_pieces(rng, n_prev=1, n_new=1)
-        w = engine.weight_matrix(cloud, kernel, cfg)
+        w = reference.weight_matrix(cloud, kernel, cfg)
         np.testing.assert_allclose(w.w, [[1.0]])
 
     def test_zero_potential_uniform(self):
         rng = np.random.default_rng(6)
         _, _, cfg, cloud, _, kernel = self.setup_pieces(rng, n_prev=5, n_new=3,
                                                         zero_pot=True)
-        w = engine.weight_matrix(cloud, kernel, cfg)
+        w = reference.weight_matrix(cloud, kernel, cfg)
         np.testing.assert_allclose(w.w, 1.0 / 5.0, atol=1e-12)
 
     def test_row_stochastic(self):
         rng = np.random.default_rng(7)
         _, _, cfg, cloud, _, kernel = self.setup_pieces(rng, n_prev=6, n_new=6)
-        w = engine.weight_matrix(cloud, kernel, cfg)
+        w = reference.weight_matrix(cloud, kernel, cfg)
         np.testing.assert_allclose(w.w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w.w >= 0.0)
 
@@ -97,7 +97,7 @@ class TestComputeWeights:
         # the two weight formulas agree after row normalization
         rng = np.random.default_rng(8)
         _, runner, cfg, cloud, xi_new, kernel = self.setup_pieces(rng, 4, 4)
-        w_ratio = engine.weight_matrix(cloud, kernel, cfg)
+        w_ratio = reference.weight_matrix(cloud, kernel, cfg)
         log_pot = gaussian.inner_cross(kernel.pot_eta1, kernel.pot_eta2, cloud.xi)
         shifted = np.exp(log_pot - log_pot.max(axis=1, keepdims=True))
         w_pot = shifted / shifted.sum(axis=1, keepdims=True)
@@ -311,9 +311,10 @@ class TestBackwardSampling:
         cfg = engine.EngineConfig(n_particles=8, compute_grads=False, clip_enabled=True,
                                   log_eps_minus=-50.0, log_eps_plus=8.0)
         kernel = engine.build_kernel(runner, xi_new)
-        wmat = engine.weight_matrix(cloud, kernel, cfg)
+        wmat = reference.weight_matrix(cloud, kernel, cfg)
         draws = 10**5
-        idx = engine._accept_reject_rows(cloud, kernel, cfg, draws, rng)
+        idx = engine._accept_reject_rows(cloud, kernel, cfg, draws, rng,
+                                         gaussian.suff_stat_rows(cloud.xi))
         for i in range(2):  # a couple of rows is plenty
             counts = np.bincount(idx[i], minlength=8)
             expected = wmat.w[i] * draws

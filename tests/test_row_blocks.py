@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from streamvi import engine, gaussian, mlp, models, variational as var
 from streamvi.errors import DegenerateRow, NonFiniteStatistic
 
@@ -86,7 +87,7 @@ def blocked_update(pieces, rows):
     with block_rows(rows, cloud.n):
         new = engine.update_statistics(cloud, xi_new, model, runner, y, kernel, log_q_new,
                                        config)
-        w = engine.weight_matrix(cloud, kernel, config).w
+        w = reference.weight_matrix(cloud, kernel, config).w
     return new, w
 
 
@@ -146,7 +147,7 @@ def overlapped_update(pieces, rows_per_block):
         blocks = engine.row_blocks(xi_new.shape[0], cloud.n)
         new = engine.update_statistics(cloud, xi_new, model, runner, y, kernel, log_q_new,
                                        config)
-        w = engine.weight_matrix(cloud, kernel, config).w
+        w = reference.weight_matrix(cloud, kernel, config).w
     want = np.concatenate([np.matmul(w[rows].astype(g_prev.dtype), g_prev)
                            for rows in blocks])
     assert new.g_stat.dtype == g_prev.dtype
@@ -284,6 +285,48 @@ def test_failed_theta_rows_leave_nothing_running(clip, monkeypatch):
 
     check_failed_update_leaves_nothing_running(monkeypatch, clip, breakage, ValueError,
                                                "no pair features", n_products=1)
+
+
+@pytest.mark.parametrize("clip", [False, True], ids=["kernel", "clamped"])
+def test_blocked_categorical_draws_equal_the_per_row_loop(clip, monkeypatch):
+    # blocks of 3 of 23 rows: the draws are those of the dense weight rows at
+    # the same uniforms, all drawn first, and the generator ends where one
+    # draw of all of them leaves it
+    model, runner, cloud, xi_new, y, kernel, log_q_new, config = update_pieces(
+        "lgssm", 40, 23, clip, seed=11)
+    config = dataclasses.replace(config, method="categorical")
+    finish, drawn = engine._finish_update, []
+
+    def spy(*args, idx, **kwargs):
+        drawn.append(idx)
+        return finish(*args, idx=idx, **kwargs)
+
+    monkeypatch.setattr(engine, "_finish_update", spy)
+    rng = np.random.default_rng(5)
+    ref = copy.deepcopy(rng)
+    with block_rows(3, cloud.n):
+        assert len(engine.row_blocks(23, cloud.n)) == 8
+        engine.backward_sample_update(cloud, xi_new, rng, model, runner, y, kernel, log_q_new,
+                                      config)
+        w = reference.weight_matrix(cloud, kernel, config).w
+    u = ref.random((23, config.m_backward))
+    np.testing.assert_array_equal(drawn[0], reference.categorical_draws(w, u))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("rows", [50, 4], ids=["one_block", "blocks_of_4"])
+@pytest.mark.parametrize("method", ["categorical", "accept_reject"])
+def test_sampled_routes_name_the_degenerate_row(method, rows):
+    # a NaN potential in row 17: its accept-reject bound is NaN, so all its
+    # draws reach the fallback, which names the row of the update as the
+    # categorical draws do
+    model, runner, cloud, xi_new, y, kernel, log_q_new, config = update_pieces(
+        "lgssm", 50, 50, True, seed=3)
+    config = dataclasses.replace(config, method=method)
+    kernel.pot_eta1[17] = np.nan
+    with block_rows(rows, cloud.n), pytest.raises(DegenerateRow, match=r"weight row 17 "):
+        engine.backward_sample_update(cloud, xi_new, np.random.default_rng(0), model, runner,
+                                      y, kernel, log_q_new, config)
 
 
 def test_blocked_full_step_holds_no_dense_array():

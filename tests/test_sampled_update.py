@@ -12,8 +12,12 @@ feature rows:
   ``models.grad_theta_emission_batch``);
 - the dense direct form with W: every pair's bracket from the one-point
   ``log_m``, ``log_g`` and ``log_density`` of ``reference``, and its
-  theta-gradient from ``grad_theta_log_joint_pair``, with repeated draws
+  theta-gradient by central differences of ``log_m + log_g`` in theta, so
+  that it shares no gradient code with the engine, with repeated draws
   adding up in W.
+
+The draws are reproduced from ``reference.weight_matrix`` and a per-row
+``searchsorted`` on the categorical route.
 """
 
 import copy
@@ -50,9 +54,10 @@ def make_residual(rng):
 def draw_indices(cloud, kernel, config, rng):
     """The draws ``backward_sample_update`` makes from ``rng``."""
     if config.method == "accept_reject":
-        return engine._accept_reject_rows(cloud, kernel, config, M, rng)
-    w = engine.weight_matrix(cloud, kernel, config).w
-    return engine._categorical_rows(w, M, rng)
+        return engine._accept_reject_rows(cloud, kernel, config, M, rng,
+                                          gaussian.suff_stat_rows(cloud.xi))
+    u = rng.random((kernel.eta1.shape[0], M))
+    return reference.categorical_draws(reference.weight_matrix(cloud, kernel, config).w, u)
 
 
 def kernel_cotangents(kernel, cw, xs):
@@ -101,10 +106,19 @@ def dense_reference(cloud, xi_new, model, runner, y, kernel, idx):
     u1, u2 = kernel_cotangents(kernel, w * (bracket - h[:, None]), xs)
     g = (w @ cloud.g_stat.astype(np.float64)
          + reference.kernel_phi_rows(runner, u1, u2, kernel.pot_raw, kernel.pot_acts))
-    pair_grads = np.array([[reference.grad_theta_log_joint_pair(model, xp, x, y, 1)
-                            for xp in cloud.xi] for x in xi_new])
-    f = w @ cloud.f_stat + np.einsum("ij,ijp->ip", w, pair_grads)
+    f = w @ cloud.f_stat + np.einsum("ij,ijp->ip", w, pair_grads_fd(model, cloud.xi, xi_new, y))
     return h, g, f
+
+
+def pair_grads_fd(model, xs_prev, xs_new, y):
+    """The theta-gradient of log m(x_j -> x_i) + log g(x_i) at every pair
+    (i, j), shape (N_new, N_prev, dim_theta), by central differences of the
+    one-point ``reference.log_m`` and ``reference.log_g``."""
+    trans = reference.grad_theta_fd(
+        lambda m: [[reference.log_m(m, xp, x, 1) for xp in xs_prev] for x in xs_new], model)
+    emit = reference.grad_theta_fd(lambda m: [reference.log_g(m, x, y) for x in xs_new],
+                                   model)
+    return trans + emit[:, None, :]
 
 
 def assert_close(got, want, rtol):
@@ -155,8 +169,10 @@ def test_sampled_update_matches_gathered_and_dense_forms(make_model, method, ste
     assert got.g_stat.dtype == g_dtype
 
     g_rtol = 1e-12 if g_dtype == "float64" else 1e-5
-    for reference in (gathered_reference, dense_reference):
-        h, g, f = reference(cloud, xi_new, model, runner, y_t, kernel, idx)
+    # the dense form's theta side is central differences with h 1e-6: f within
+    # 1.5e-9 of its largest entry measured
+    for form, f_rtol in ((gathered_reference, 1e-12), (dense_reference, 1e-7)):
+        h, g, f = form(cloud, xi_new, model, runner, y_t, kernel, idx)
         assert_close(got.h_stat, h, 1e-12)
         assert_close(got.g_stat, g, g_rtol)
-        assert_close(got.f_stat, f, 1e-12)
+        assert_close(got.f_stat, f, f_rtol)
